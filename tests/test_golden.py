@@ -36,6 +36,9 @@ def workflow_counts(result) -> dict:
 def snapshot(run) -> dict:
     """Every headline number of a case-study run, JSON-shaped."""
     blocking = run.blocking_v2
+    labeling = run.labeling
+    counts = labeling.labels.counts()
+    buckets = labeling.discrepancy_buckets
     matching = run.matching
     updated = run.updated_workflow
     final = run.final_workflow
@@ -45,6 +48,13 @@ def snapshot(run) -> dict:
             "c2_overlap": len(blocking.c2),
             "c3_coefficient": len(blocking.c3),
             "candidates": len(blocking.candidates),
+        },
+        "labeling": {
+            "yes": counts.yes,
+            "no": counts.no,
+            "unsure": counts.unsure,
+            "buckets": {name: buckets[name] for name in ("D1", "D2", "D3", "other")},
+            "discrepancies": sum(buckets.values()),
         },
         "matching": {
             "winner": matching.final_selection.best.name,
