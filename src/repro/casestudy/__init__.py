@@ -261,6 +261,7 @@ class CaseStudyRun:
                 tables.truth,
                 base_feature_set(tables),
                 seed=self.config.seed,
+                session=self.engine_session,
             )
 
     # ------------------------------------------------------------ §9

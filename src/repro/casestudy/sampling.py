@@ -41,6 +41,8 @@ from ..labeling import (
     resolve_with_authority,
 )
 from ..rules.positive import m1_rule
+from ..runtime.context import EngineSession, resolve_session
+from ..runtime.instrument import stage
 from ..similarity.numeric import years_within
 from ..table.column import is_missing
 from ..text.normalize import normalize_title
@@ -124,8 +126,16 @@ def run_sampling_and_labeling(
     feature_set: FeatureSet,
     seed: int = 45,
     rounds: tuple[int, ...] = (100, 100, 100),
+    session: EngineSession | None = None,
 ) -> LabelingOutcome:
-    """Execute the full Section-8 protocol."""
+    """Execute the full Section-8 protocol.
+
+    Traced under the resolved *session* as two child stages: the
+    labeling rounds (``sec8:label_rounds``) and the leave-one-out label
+    debugging (``sec8:loo``, whose folds fan out over the session pool).
+    """
+    session = resolve_session(session)
+    instrumentation = session.instrumentation
     rng = np.random.default_rng(seed)
     authority, student, em_team = make_oracles(truth, seed)
     tool = CloudLabelingTool()
@@ -134,50 +144,52 @@ def run_sampling_and_labeling(
     initial_mismatches = 0
     updated_after_meeting = 0
 
-    # --- iteration 1: student labels, EM team cross-checks ------------
-    sampled = candidates.sample(rounds[0], rng)
-    tool.upload_pairs(sampled)
-    tool.open_session("umetrics-student")
-    student_labels = student.label_pairs(candidates, sampled)
-    for pair, label in student_labels.items():
-        tool.submit_label(pair, label)
-    tool.close_session()
-
-    em_labels = em_team.label_pairs(candidates, sampled)
-    disagreements = cross_check(tool.labeled(), em_labels)
-    initial_mismatches = len(disagreements)
-    resolved, updated_after_meeting = resolve_with_authority(
-        tool.labeled(), disagreements, authority
-    )
-    for pair in resolved.pairs():
-        if resolved.get(pair) is not tool.labeled().get(pair):
-            tool.update_label(pair, resolved.get(pair))
-    iteration_counts.append(tool.labeled().counts())
-
-    # --- iterations 2..n: the calibrated expert team labels -----------
-    for round_size in rounds[1:]:
-        already = set(tool.labeled().pairs())
-        fresh: list[Pair] = []
-        while len(fresh) < round_size:
-            for pair in candidates.sample(round_size * 2, rng):
-                if pair not in already and pair not in set(fresh):
-                    fresh.append(pair)
-                    if len(fresh) == round_size:
-                        break
-        tool.upload_pairs(fresh)
-        tool.open_session("umetrics-team")
-        for pair, label in authority.label_pairs(candidates, fresh).items():
+    with stage(instrumentation, "sec8:label_rounds"):
+        # --- iteration 1: student labels, EM team cross-checks ------------
+        sampled = candidates.sample(rounds[0], rng)
+        tool.upload_pairs(sampled)
+        tool.open_session("umetrics-student")
+        student_labels = student.label_pairs(candidates, sampled)
+        for pair, label in student_labels.items():
             tool.submit_label(pair, label)
         tool.close_session()
+
+        em_labels = em_team.label_pairs(candidates, sampled)
+        disagreements = cross_check(tool.labeled(), em_labels)
+        initial_mismatches = len(disagreements)
+        resolved, updated_after_meeting = resolve_with_authority(
+            tool.labeled(), disagreements, authority
+        )
+        for pair in resolved.pairs():
+            if resolved.get(pair) is not tool.labeled().get(pair):
+                tool.update_label(pair, resolved.get(pair))
         iteration_counts.append(tool.labeled().counts())
+
+        # --- iterations 2..n: the calibrated expert team labels -----------
+        for round_size in rounds[1:]:
+            already = set(tool.labeled().pairs())
+            fresh: list[Pair] = []
+            while len(fresh) < round_size:
+                for pair in candidates.sample(round_size * 2, rng):
+                    if pair not in already and pair not in set(fresh):
+                        fresh.append(pair)
+                        if len(fresh) == round_size:
+                            break
+            tool.upload_pairs(fresh)
+            tool.open_session("umetrics-team")
+            for pair, label in authority.label_pairs(candidates, fresh).items():
+                tool.submit_label(pair, label)
+            tool.close_session()
+            iteration_counts.append(tool.labeled().counts())
 
     labels = tool.labeled()
 
     # --- debugging the labeled sample ----------------------------------
     sure = [p for p in labels.pairs() if _m1_fires(candidates, p)]
-    discrepancies = debug_labels(
-        candidates, labels, feature_set, exclude_pairs=sure
-    )
+    with stage(instrumentation, "sec8:loo"):
+        discrepancies = debug_labels(
+            candidates, labels, feature_set, exclude_pairs=sure, session=session
+        )
     buckets = group_discrepancies(
         candidates, discrepancies,
         classifiers={"D1": is_d1, "D2": is_d2, "D3": is_d3},

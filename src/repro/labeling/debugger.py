@@ -20,6 +20,7 @@ from ..features.generate import FeatureSet
 from ..features.vectors import extract_feature_vectors
 from ..ml import MeanImputer, RandomForestClassifier, leave_one_out_predictions
 from ..ml.base import Classifier
+from ..runtime.context import EngineSession, resolve_session
 from .labels import LabeledPairs
 
 
@@ -38,20 +39,28 @@ def debug_labels(
     feature_set: FeatureSet,
     exclude_pairs: Sequence[Pair] = (),
     model: Classifier | None = None,
+    session: EngineSession | None = None,
 ) -> list[LabelDiscrepancy]:
     """Run leave-one-out label debugging.
 
     *labels* should already contain only Yes/No pairs (call
     ``without_unsure()`` first); *exclude_pairs* removes sure matches, as
     the paper does — an exact-rule match needs no statistical check.
+    Feature extraction and the leave-one-out folds run under the resolved
+    *session* (its pool fans the folds out; results equal the serial run).
     """
+    resolved = resolve_session(session)
     working = labels.without_unsure().without_pairs(exclude_pairs)
     pairs, y = working.to_training_data()
     if model is None:
         model = RandomForestClassifier(n_trees=30, min_samples_leaf=2, seed=0)
-    matrix = extract_feature_vectors(candidates, feature_set, pairs=pairs)
+    matrix = extract_feature_vectors(
+        candidates, feature_set, pairs=pairs, session=resolved
+    )
     values = MeanImputer().fit_transform(matrix.values)
-    predicted = leave_one_out_predictions(model, values, np.asarray(y))
+    predicted = leave_one_out_predictions(
+        model, values, np.asarray(y), session=resolved
+    )
     return [
         LabelDiscrepancy(pair=pairs[i], given_label=int(y[i]), predicted_label=int(p))
         for i, p in enumerate(predicted)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, check_X, check_X_y
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, FlatTree, concatenate, descend, grow_trees
 
 
 class RandomForestClassifier(Classifier):
@@ -47,36 +47,58 @@ class RandomForestClassifier(Classifier):
         self.max_features = max_features
         self.seed = seed
         self._trees: list[DecisionTreeClassifier] = []
+        #: member trees concatenated for prediction, built on first use
+        self._flat: tuple[FlatTree, np.ndarray] | None = None
 
     def _reset(self) -> None:
         super()._reset()
         self._trees = []
+        self._flat = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
         rng = np.random.default_rng(self.seed)
-        self._trees = []
         n = len(y)
-        for t in range(self.n_trees):
-            indices = rng.integers(0, n, size=n)
-            tree = DecisionTreeClassifier(
+        samples, seeds = [], []
+        for _ in range(self.n_trees):  # per tree: bootstrap rows, then seed
+            samples.append(rng.integers(0, n, size=n))
+            seeds.append(int(rng.integers(0, 2**31 - 1)))
+        self._trees = [
+            DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                seed=int(rng.integers(0, 2**31 - 1)),
+                seed=seed,
             )
-            tree.fit(X[indices], y[indices])
-            self._trees.append(tree)
+            for seed in seeds
+        ]
+        grown = grow_trees(
+            X,
+            y,
+            np.stack(samples),
+            seeds,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+        )
+        for tree, one in zip(self._trees, grown):
+            tree._adopt(one, X.shape[1])
+        self._flat = None
         self._fitted = True
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         self._require_fitted()
         X = check_X(X)
+        if self._flat is None:
+            self._flat = concatenate([tree.flat() for tree in self._trees])
+        forest, roots = self._flat
+        leaf_values = descend(forest, X, roots)
         votes = np.zeros(len(X))
-        for tree in self._trees:
-            votes += tree.predict_proba(X)
+        for values in leaf_values:  # tree order, as a per-tree running sum
+            votes += values
         return votes / len(self._trees)
 
     @property

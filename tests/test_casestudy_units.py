@@ -1,5 +1,7 @@
 """Unit tests for case-study submodules (beyond the integration tests)."""
 
+import os
+
 import pytest
 
 from repro.casestudy.report import (
@@ -119,3 +121,51 @@ class TestStrayPredictionAudit:
         assert outcome.stray_predictions_dropped["m"] == 1
         estimate = outcome.estimates_by_stage[15]["m"]
         assert estimate.precision.contains(1.0)
+
+
+# ----------------------------------------------------------------------
+# Section 8: traced child stages and the leave-one-out fold fan-out
+# ----------------------------------------------------------------------
+def _section8_inputs(run):
+    from repro.casestudy.matching import base_feature_set
+
+    return run.blocking_v2.candidates, run.projected.truth, base_feature_set(run.projected)
+
+
+def test_labeling_traces_rounds_and_loo_stages(case_study):
+    from repro.casestudy.sampling import run_sampling_and_labeling
+    from repro.runtime import EngineSession, Instrumentation
+
+    candidates, truth, features = _section8_inputs(case_study)
+    instrumentation = Instrumentation()
+    with EngineSession(instrumentation=instrumentation) as session:
+        outcome = run_sampling_and_labeling(
+            candidates, truth, features, rounds=(40, 20), session=session
+        )
+    names = [child.name for child in instrumentation.root.children]
+    assert names[:2] == ["sec8:label_rounds", "sec8:loo"]
+    loo = instrumentation.root.find("sec8:loo")
+    assert 0 < loo.counters["loo_folds"] <= 60
+    assert loo.counters["trees_grown"] == 30 * loo.counters["loo_folds"]
+    assert sum(outcome.discrepancy_buckets.values()) <= loo.counters["loo_folds"]
+
+
+@pytest.mark.parallel
+@pytest.mark.skipif(
+    int(os.environ.get("REPRO_WORKERS", "2")) < 2,
+    reason="REPRO_WORKERS < 2 disables parallel-equivalence tests",
+)
+def test_debug_labels_on_pool_equals_serial(case_study):
+    from repro.labeling import debug_labels
+    from repro.ml import RandomForestClassifier
+    from repro.runtime import EngineSession
+
+    candidates, _, features = _section8_inputs(case_study)
+    labels = case_study.labeling.labels
+    model = RandomForestClassifier(n_trees=6, min_samples_leaf=2, seed=0)
+    serial = debug_labels(candidates, labels, features, model=model)
+    with EngineSession(workers=2) as session:
+        parallel = debug_labels(
+            candidates, labels, features, model=model, session=session
+        )
+    assert serial and parallel == serial
