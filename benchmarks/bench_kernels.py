@@ -3,32 +3,26 @@
 Times every set-measure kernel family against the string-set reference it
 must match bit-for-bit, over token sets drawn from the full-scale
 AwardTitle column (whitespace words and 3-grams — the recipes the case
-study's blockers and features actually use), plus the threshold-banded
-Levenshtein (per-pair and batch) against the unbounded reference DP.
-Reports throughput and the kernel-vs-reference speedup per measure *and
-per family*, and asserts every value agrees exactly while timing.
+study's blockers and features actually use). Reports throughput and the
+kernel-vs-reference speedup per measure *and per family*, and asserts
+every value agrees exactly while timing.
 
-Three set-measure families are timed, each against the same reference:
+Two set-measure families are timed, each against the same reference:
 
 * **set** — the per-pair id-frozenset kernels (``*_id_sets``); deployed
   as the per-pair shape, family mean asserted ``>= 1.0`` on both
   tokenizations;
-* **merge** — the per-pair merge-array kernels (``*_ids``); RETIRED from
-  routing after this very bench caught them at 0.40-0.86x on qgm_3
-  (per-pair Python call overhead dominates the integer merges). Reported
-  without an assert, as the regression record;
 * **batch** — the chunk-columnar kernels in
   :mod:`repro.similarity.batch`, timed the way production runs them: one
   :class:`~repro.runtime.columnar.TokenColumn` build plus one kernel
   call per chunk (construction included in the timing). Deployed on the
   extraction and blocker hot loops; family mean asserted ``>= 1.0`` on
-  both tokenizations *and* ``>= `` the set family on qgm_3 — the
-  acceptance bar for retiring the merge family.
+  both tokenizations *and* ``>=`` the set family on qgm_3.
 
 Per-family speedups are reported under ``family_<fam>_<tok>_speedup``
 keys precisely so a regressing family can never hide behind a blended
-mean again (the old ``mean_set_measure_speedup`` blended 2-5x set-kernel
-wins with sub-1.0 merge losses and stayed comfortably green).
+mean (a blended mean once hid a retired per-pair merge-array family at
+0.40-0.86x on qgm_3; see ``docs/performance.md``).
 
 Writes ``benchmarks/out/kernels.txt`` + ``.json``; the CI perf-smoke job
 runs this bench, re-checks the JSON with
@@ -42,7 +36,6 @@ import time
 from repro.runtime.cache import get_default_cache
 from repro.runtime.columnar import TokenColumn
 from repro.similarity import batch, kernels
-from repro.similarity.sequence import levenshtein_distance
 from repro.similarity.set_based import (
     cosine_set,
     dice,
@@ -54,38 +47,22 @@ from repro.text.normalize import normalize_title
 from repro.text.tokenizers import TOKENIZERS
 
 N_PAIRS = 60_000
-N_LEV_PAIRS = 1_500
-LEV_BOUND = 4
 
-#: (name, string reference, set kernel, merge kernel, batch kernel)
+#: (name, string reference, set kernel, batch kernel)
 MEASURES = [
-    (
-        "jaccard",
-        jaccard,
-        kernels.jaccard_id_sets,
-        kernels.jaccard_ids,
-        batch.jaccard_batch,
-    ),
-    (
-        "cosine",
-        cosine_set,
-        kernels.cosine_id_sets,
-        kernels.cosine_ids,
-        batch.cosine_batch,
-    ),
-    ("dice", dice, kernels.dice_id_sets, kernels.dice_ids, batch.dice_batch),
+    ("jaccard", jaccard, kernels.jaccard_id_sets, batch.jaccard_batch),
+    ("cosine", cosine_set, kernels.cosine_id_sets, batch.cosine_batch),
+    ("dice", dice, kernels.dice_id_sets, batch.dice_batch),
     (
         "overlap_coefficient",
         overlap_coefficient,
         kernels.overlap_coefficient_id_sets,
-        kernels.overlap_coefficient_ids,
         batch.overlap_coefficient_batch,
     ),
     (
         "overlap_size",
         overlap_size,
         kernels.overlap_size_id_sets,
-        kernels.overlap_size_ids,
         batch.overlap_size_batch,
     ),
 ]
@@ -127,7 +104,6 @@ def test_kernel_throughput(run, emit_report):
         "------------------------------------------------------------",
         f"pairs per measure: {N_PAIRS}  (values asserted equal while timing)",
         "set   = per-pair id-frozenset kernel (deployed per-pair shape)",
-        "merge = per-pair merge-array kernel (RETIRED from routing)",
         "batch = chunk-columnar kernel incl. TokenColumn build (deployed hot path)",
         "",
     ]
@@ -143,25 +119,18 @@ def test_kernel_throughput(run, emit_report):
         token_volume = sum(len(a) + len(b) for a, b, _, _ in pairs)
         str_args = [(a, b) for a, b, _, _ in pairs]
         set_args = [(ea.ids, eb.ids) for _, _, ea, eb in pairs]
-        merge_args = [(ea.sorted, eb.sorted) for _, _, ea, eb in pairs]
         a_entries = [ea for _, _, ea, _ in pairs]
         b_entries = [eb for _, _, _, eb in pairs]
         lines.append(f"[{tok_name}] ~{token_volume / len(pairs):.1f} tokens/pair")
-        speedups = {"set": [], "merge": [], "batch": []}
-        for name, reference, set_kernel, merge_kernel, batch_kernel in MEASURES:
+        speedups = {"set": [], "batch": []}
+        for name, reference, set_kernel, batch_kernel in MEASURES:
             expected, ref_s = _timed_loop(reference, str_args)
             got_set, set_s = _timed_loop(set_kernel, set_args)
-            got_merge, merge_s = _timed_loop(merge_kernel, merge_args)
             got_batch, batch_s = _timed_batch(batch_kernel, a_entries, b_entries)
             assert got_set == expected, f"{name}/{tok_name}: set kernel diverged"
-            assert got_merge == expected, f"{name}/{tok_name}: merge kernel diverged"
             assert got_batch == expected, f"{name}/{tok_name}: batch kernel diverged"
             data[f"{name}_{tok_name}_ref_s"] = ref_s
-            for family, spent in (
-                ("set", set_s),
-                ("merge", merge_s),
-                ("batch", batch_s),
-            ):
+            for family, spent in (("set", set_s), ("batch", batch_s)):
                 speedup = ref_s / spent
                 speedups[family].append(speedup)
                 data[f"{name}_{tok_name}_{family}_kernel_s"] = spent
@@ -169,7 +138,6 @@ def test_kernel_throughput(run, emit_report):
             lines.append(
                 f"  {name:<20} ref {len(pairs) / ref_s:>9.0f} calls/s"
                 f"  set {ref_s / set_s:.2f}x"
-                f"  merge {ref_s / merge_s:.2f}x"
                 f"  batch {ref_s / batch_s:.2f}x"
                 f"  ({token_volume / batch_s / 1e6:.1f}M tokens/s batch)"
             )
@@ -181,49 +149,20 @@ def test_kernel_throughput(run, emit_report):
             "  family means: "
             + "  ".join(
                 f"{family} {family_speedups[(family, tok_name)]:.2f}x"
-                for family in ("set", "merge", "batch")
+                for family in ("set", "batch")
             )
         )
         lines.append("")
 
-    # threshold-banded Levenshtein vs the unbounded reference
-    titles = [
-        str(normalize_title(v))
-        for v in tables.umetrics["AwardTitle"][:400]
-        if v is not None
-    ]
-    lev_pairs = [
-        (rng.choice(titles), rng.choice(titles)) for _ in range(N_LEV_PAIRS)
-    ]
-    expected, ref_s = _timed_loop(levenshtein_distance, lev_pairs)
-    capped = [min(d, LEV_BOUND + 1) for d in expected]
-    bounded, kern_s = _timed_loop(
-        lambda a, b: kernels.levenshtein_bounded(a, b, LEV_BOUND), lev_pairs
-    )
-    assert bounded == capped
-    started = time.perf_counter()
-    batched = batch.levenshtein_bounded_batch(
-        [a for a, _ in lev_pairs], [b for _, b in lev_pairs], LEV_BOUND
-    )
-    batch_lev_s = time.perf_counter() - started
-    assert list(batched) == capped
-    data["levenshtein_bounded_speedup"] = ref_s / kern_s
-    data["levenshtein_batch_speedup"] = ref_s / batch_lev_s
-    data["levenshtein_bound"] = LEV_BOUND
-    lines += [
-        f"  levenshtein_bounded(k={LEV_BOUND}) vs full DP on {N_LEV_PAIRS} "
-        f"title pairs: per-pair {ref_s / kern_s:.2f}x, "
-        f"batch {ref_s / batch_lev_s:.2f}x",
-        "",
+    lines.append(
         "deployed families (each asserted >= 1.0x on ws and qgm_3): "
-        + ", ".join(batch.DEPLOYED_FAMILIES),
-    ]
+        + ", ".join(batch.DEPLOYED_FAMILIES)
+    )
 
     # Per-family gates: every *deployed* family must beat the string
     # reference on both tokenizations, and the batch family must beat the
     # per-pair set family on qgm_3 (the tokenization that exposed the
-    # merge regression). The merge family is reported unasserted — it is
-    # retired, and its numbers document why.
+    # retired merge family's regression).
     for family in ("set", "batch"):
         for tok_name in ("ws", "qgm_3"):
             mean = family_speedups[(family, tok_name)]
@@ -231,8 +170,6 @@ def test_kernel_throughput(run, emit_report):
                 f"deployed {family} family slower than string references "
                 f"on {tok_name} ({mean:.2f}x)"
             )
-    assert data["levenshtein_bounded_speedup"] >= 1.0
-    assert data["levenshtein_batch_speedup"] >= 1.0
     assert (
         family_speedups[("batch", "qgm_3")] >= family_speedups[("set", "qgm_3")]
     ), (

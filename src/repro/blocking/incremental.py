@@ -287,10 +287,7 @@ class _TokenIncrementalBlocking(IncrementalBlocking):
     frequencies at construction; tokenizes upsert batches through the same
     :meth:`~repro.runtime.cache.TokenCache.token_ids_by_id` recipe the
     batch path uses (rows whose cell is missing or tokenizes to nothing
-    are dropped, i.e. committing them clears previous state). The interned
-    id path is used regardless of the session's kernel switch: both batch
-    paths emit identical pairs by construction (PR 6 invariant), and the
-    keep-mask kernels are plain functions with no switch of their own.
+    are dropped, i.e. committing them clears previous state).
     """
 
     def __init__(

@@ -9,19 +9,17 @@ so each left record only probes the index with its first
 counts are then verified exactly.
 
 Tokenization goes through the shared :mod:`~repro.runtime.cache` (one pass
-per ``(attr, tokenizer, normalizer)`` recipe per table). When the kernel
-switch (:func:`~repro.similarity.kernels.kernels_enabled`) is on — the
-default — the probe runs over interned token ids shipped as columnar
+per ``(attr, tokenizer, normalizer)`` recipe per table). The probe runs
+over interned token ids shipped as columnar
 :class:`~repro.runtime.columnar.TokenColumn` chunks, and candidate
 verification is one batch keep-mask call
-(:func:`~repro.similarity.batch.overlap_at_least_batch`) per chunk;
-otherwise it runs the legacy ``frozenset[str]`` loop. Both paths emit
-the *same pairs in the same order*: the global token ordering
+(:func:`~repro.similarity.batch.overlap_at_least_batch`) per chunk. Pair
+emission order is fixed by the data alone: the global token ordering
 ``(doc_freq, token)`` is a total order computed once per run (not per
-record), the inverted-index rid lists are built in the same right-row
-order, the per-record ``seen`` sets receive the same rid objects in the
-same sequence, and the keep-mask filters the ordered candidate list in
-place.
+record), the inverted-index rid lists are built in right-row order, and
+the keep-mask filters each chunk's ordered candidate list in place. The
+``frozenset[str]`` reference lives in ``tests/oracles/string_paths.py``;
+the parity tests pin the two to the same pairs in the same order.
 
 The probe loop is chunk-parallel over left records when the resolved
 :class:`~repro.runtime.context.EngineSession` has ``workers >= 2`` (or a
@@ -49,44 +47,6 @@ from .policy import BlockSizePolicy, capped_keys, resolve_policy
 Normalizer = Callable[[Any], Any]
 
 
-def _probe_overlap_chunk(
-    l_items: list[tuple[Any, frozenset[str]]],
-    r_tokens: dict[Any, frozenset[str]],
-    index: dict[str, list[Any]],
-    order: dict[str, int],
-    k: int,
-    capped: frozenset = frozenset(),
-) -> list[tuple[Any, Any]]:
-    """Probe the inverted index for a chunk of left records (string path).
-
-    Module-level (and closure-free) so the chunked executor can ship it to
-    worker processes; the serial path runs the very same function. *order*
-    is the global token rank under ``(doc_freq, token)`` — a total order,
-    so ranking sorts exactly like the tuple key did, but without
-    re-deriving it per record. *capped* holds tokens whose posting lists
-    exceed the blocker's size cap: dropped from the probe prefix (after
-    the cut, so the cut itself is policy-independent), never from
-    verification.
-    """
-    rank = order.__getitem__
-    pairs: list[tuple[Any, Any]] = []
-    for lid, tokens in l_items:
-        if len(tokens) < k:
-            continue
-        ordered = sorted(tokens, key=rank)
-        prefix = ordered[: len(ordered) - k + 1]
-        if capped:
-            prefix = [t for t in prefix if t not in capped]
-        seen: set[Any] = set()
-        for t in prefix:
-            for rid in index.get(t, ()):
-                seen.add(rid)
-        for rid in seen:
-            if len(tokens & r_tokens[rid]) >= k:
-                pairs.append((lid, rid))
-    return pairs
-
-
 def _probe_overlap_ids_chunk(
     lids: list[Any],
     prefixes: list[Any],
@@ -96,19 +56,18 @@ def _probe_overlap_ids_chunk(
     index: dict[int, list[Any]],
     k: int,
 ) -> list[tuple[Any, Any]]:
-    """Kernel twin of :func:`_probe_overlap_chunk` over columnar chunks.
+    """Probe the inverted index for a chunk of left records.
 
+    Module-level (and closure-free) so the chunked executor can ship it to
+    worker processes; the serial path runs the very same function.
     Workers receive whole columns — the chunk's left ids, per-record
     ``array('i')`` prefixes cut under the global order (computed once in
     the parent), and both sides' token sets as
     :class:`~repro.runtime.columnar.TokenColumn` CSR buffers — instead of
-    per-record tuples of frozensets. Candidate generation walks the
-    inverted index exactly like the string path; verification is one
+    per-record tuples of frozensets. Verification is one
     :func:`~repro.similarity.batch.overlap_at_least_batch` call over the
-    chunk's whole candidate list. Emission order matches the string path
-    because the prefix order, the index rid lists, and hence each
-    ``seen`` set's insertion sequence are all identical, and the batch
-    keep-mask filters the ordered candidate list in place.
+    chunk's whole candidate list, whose keep-mask filters the ordered
+    candidate list in place.
     """
     l_sets = l_col.sets()
     r_map = dict(zip(rids, r_col.sets()))
@@ -201,77 +160,8 @@ class OverlapBlocker(Blocker):
         self._validate_inputs(
             ltable, rtable, l_key, r_key, [(ltable, self.l_attr), (rtable, self.r_attr)]
         )
-        if session.kernels_enabled():
-            pairs = self._block_ids(session, ltable, rtable, l_key, r_key)
-        else:
-            pairs = self._block_strings(session, ltable, rtable, l_key, r_key)
+        pairs = self._block_ids(session, ltable, rtable, l_key, r_key)
         return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)
-
-    def _block_strings(
-        self,
-        session: EngineSession,
-        ltable: Table,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-    ) -> list[tuple[Any, Any]]:
-        instrumentation = session.instrumentation
-        cache = session.token_cache
-        hits_before = cache.hits
-        with stage(instrumentation, "tokenize"):
-            l_tokens = cache.tokens_by_id(
-                ltable, self.l_attr, l_key, self.tokenizer, self.normalizer
-            )
-            r_tokens = cache.tokens_by_id(
-                rtable, self.r_attr, r_key, self.tokenizer, self.normalizer
-            )
-            count(instrumentation, "l_records", len(l_tokens))
-            count(instrumentation, "r_records", len(r_tokens))
-            count(instrumentation, "cache_hits", cache.hits - hits_before)
-        # Global token order by document frequency (rarest first) makes the
-        # prefix filter probe the most selective tokens. (doc_freq, token)
-        # is a total order, so ranking once here and sorting records by
-        # rank reproduces the per-record tuple sort exactly.
-        with stage(instrumentation, "index"):
-            doc_freq: dict[str, int] = {}
-            for tokens in r_tokens.values():
-                for t in tokens:
-                    doc_freq[t] = doc_freq.get(t, 0) + 1
-            index: dict[str, list[Any]] = {}
-            for rid, tokens in r_tokens.items():
-                for t in tokens:
-                    index.setdefault(t, []).append(rid)
-            left_vocab = set()
-            for tokens in l_tokens.values():
-                left_vocab.update(tokens)
-            order = {
-                t: i
-                for i, t in enumerate(
-                    sorted(left_vocab, key=lambda t: (doc_freq.get(t, 0), t))
-                )
-            }
-            capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
-        with stage(instrumentation, "probe"):
-            l_items = list(l_tokens.items())
-            ranges = chunk_ranges(len(l_items), session.workers)
-            chunks = session.map_chunks(
-                _probe_overlap_chunk,
-                [
-                    (
-                        l_items[start:stop],
-                        r_tokens,
-                        index,
-                        order,
-                        self.threshold,
-                        capped,
-                    )
-                    for start, stop in ranges
-                ],
-                sizes=[stop - start for start, stop in ranges],
-            )
-            pairs = [pair for chunk in chunks for pair in chunk]
-            count(instrumentation, "pairs_out", len(pairs))
-        return pairs
 
     def _block_ids(
         self,
@@ -301,11 +191,14 @@ class OverlapBlocker(Blocker):
                 for tid in entry.sorted:
                     doc_freq[tid] = doc_freq.get(tid, 0) + 1
             index: dict[int, list[Any]] = {}
-            # Outer loop in right-row order keeps every per-token rid list
-            # in the same order the string path builds it.
+            # Outer loop in right-row order fixes every per-token rid list.
             for rid, entry in r_entries.items():
                 for tid in entry.sorted:
                     index.setdefault(tid, []).append(rid)
+            # Global token order by document frequency (rarest first) makes
+            # the prefix filter probe the most selective tokens; ties break
+            # on the token string, so (doc_freq, token) is a total order
+            # independent of id assignment, ranked once per run.
             token_of = cache.vocabulary.token_of
             left_vocab = {tid for entry in l_entries.values() for tid in entry.sorted}
             rank = {
@@ -330,6 +223,8 @@ class OverlapBlocker(Blocker):
                 ordered = sorted(ids, key=by_rank)
                 prefix = ordered[: len(ordered) - k + 1]
                 if capped:
+                    # capped tokens leave the probe after the cut (so the
+                    # cut is policy-independent), never the verification
                     prefix = [t for t in prefix if t not in capped]
                 lids.append(lid)
                 prefixes.append(id_array(prefix))

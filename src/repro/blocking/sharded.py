@@ -48,11 +48,6 @@ carry it:
 
 The serial fallback is the same worker function run inline by
 ``session.map_chunks`` — bit-identical by construction, not by test.
-
-When the session's kernel switch is off the sharded classes defer to
-their parents' string path (sharding is an interned-id layout; the
-legacy ``frozenset[str]`` loop has nothing to shard), which is itself
-bit-identical to the kernel path by the PR-6 contract.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """String, set, hybrid and numeric similarity measures.
 
-:mod:`~repro.similarity.kernels` holds the interned-id twins of the
-set-based measures plus a threshold-banded Levenshtein;
-:mod:`~repro.similarity.batch` holds the chunk-level batch-columnar
-kernels the hot loops route through. All of them return bit-identical
-values to the string references here.
+:mod:`~repro.similarity.kernels` holds the per-pair interned-id twins of
+the set-based measures; :mod:`~repro.similarity.batch` holds the
+chunk-level batch-columnar kernels the hot loops route through. Both
+return bit-identical values to the string references here. The
+string-set references for the blocker probes, the blocking debugger and
+feature extraction are test oracles in ``tests/oracles/string_paths.py``.
 """
 
 from . import batch, kernels

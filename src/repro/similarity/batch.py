@@ -1,12 +1,10 @@
 """Batch-columnar similarity kernels: score whole candidate chunks.
 
-The per-pair merge-array kernels shipped with the interned-id substrate
-turned out to be a measured performance bug: on qgm_3 tokens they are
-*slower* than both the id-frozenset kernels and the plain string
-references (0.40-0.86x, ``benchmarks/out/kernels.json``), because the
-per-pair Python call and two-pointer loop overhead dominates the integer
-merges. The fix is to change the hot-loop *shape*, not the arithmetic:
-one kernel call scores an entire chunk.
+Per-pair kernels pay one Python call and its loop overhead per pair,
+which on 3-gram tokens cost more than the string references' hashing
+(the retired merge-array family measured 0.40-0.86x, see
+``docs/performance.md``). The fix is to change the hot-loop *shape*, not
+the arithmetic: one kernel call scores an entire chunk.
 
 Every ``*_batch`` kernel takes two parallel columns — a
 :class:`~repro.runtime.columnar.TokenColumn` (CSR offsets + flat
@@ -36,10 +34,6 @@ Contracts, enforced by the parity suites in ``tests/test_kernels.py``:
   permuted or re-sliced chunk permutes/re-slices the outputs and nothing
   else.
 
-``levenshtein_bounded_batch`` applies the same shape to the banded
-edit-distance DP, reusing two row buffers across the whole chunk instead
-of allocating fresh rows per pair.
-
 The blocker verification predicates (:func:`overlap_at_least_batch`,
 :func:`overlap_coefficient_at_least_batch`) are the chunk twins of the
 per-candidate checks in the overlap blockers; they return a
@@ -60,9 +54,8 @@ NAN = float("nan")
 #: Kernel families that are actually routed on the default path; the
 #: bench and the CI guard (``tools/check_kernel_families.py``) assert
 #: every family listed here beats the string references on both
-#: case-study tokenizations. The per-pair merge-array family is *not*
-#: deployed (see :mod:`repro.similarity.kernels`).
-DEPLOYED_FAMILIES = ("set", "batch", "levenshtein")
+#: case-study tokenizations.
+DEPLOYED_FAMILIES = ("set", "batch")
 
 
 def _sets_of(column: Any) -> Sequence:
@@ -228,7 +221,7 @@ def overlap_coefficient_at_least_batch(
 ) -> bytearray:
     """Coefficient-threshold keep-mask for the overlap-coefficient blocker.
 
-    Mirrors the per-candidate verification both blocker paths perform:
+    Mirrors the per-candidate verification of the string-set reference:
     the size-aware count bound ``ceil(threshold * min(|A|, |B|) - 1e-9)``
     first, then the surviving ``inter / min(|A|, |B|)`` coefficient
     against ``threshold - 1e-12`` — the same two comparisons over the
@@ -254,91 +247,3 @@ def overlap_coefficient_at_least_batch(
         if inter / smaller >= eps:
             keep[i] = 1
     return keep
-
-
-# --------------------------------------------------------------------------
-# threshold-banded Levenshtein over string chunks
-# --------------------------------------------------------------------------
-
-
-def levenshtein_bounded_batch(
-    col_a: Sequence[str], col_b: Sequence[str], max_dist: int
-) -> "array[int]":
-    """``min(dist(a, b), max_dist + 1)`` per row, buffers reused chunk-wide.
-
-    Value-identical to mapping
-    :func:`repro.similarity.kernels.levenshtein_bounded` over the rows
-    (the parity tests pin that), but the two DP rows are allocated once
-    per chunk instead of once per DP row per pair. Cells outside the
-    ``|i - j| <= max_dist`` band are re-capped explicitly where the next
-    row can read them, which is what makes buffer reuse safe.
-    """
-    if max_dist < 0:
-        raise ValueError(f"max_dist must be >= 0, got {max_dist}")
-    n = len(col_a)
-    if len(col_b) != n:
-        raise ValueError(f"batch columns differ in length: {n} vs {len(col_b)}")
-    cap = max_dist + 1
-    out = array("i", [0]) * n  # preallocated; array('i') matches the id typecode
-    previous: list[int] = []
-    current: list[int] = []
-    for idx in range(n):
-        a, b = col_a[idx], col_b[idx]
-        if a == b:
-            out[idx] = 0
-            continue
-        la, lb = len(a), len(b)
-        if la == 0 or lb == 0:
-            out[idx] = min(la or lb, cap)
-            continue
-        if abs(la - lb) > max_dist:
-            out[idx] = cap
-            continue
-        if la < lb:
-            a, b = b, a
-            la, lb = lb, la
-        if len(previous) <= lb:
-            grow = lb + 1 - len(previous)
-            previous.extend([0] * grow)
-            current.extend([0] * grow)
-        for j in range(lb + 1):
-            previous[j] = j if j < cap else cap
-        result = cap
-        for i in range(1, la + 1):
-            lo = i - max_dist
-            if lo < 1:
-                lo = 1
-            hi = i + max_dist
-            if hi > lb:
-                hi = lb
-            head = i if i < cap else cap
-            current[0] = head
-            if lo > 1:
-                current[lo - 1] = cap
-            row_min = head
-            ca = a[i - 1]
-            for j in range(lo, hi + 1):
-                best = previous[j - 1] + (0 if ca == b[j - 1] else 1)
-                down = previous[j] + 1
-                if down < best:
-                    best = down
-                left = current[j - 1] + 1
-                if left < best:
-                    best = left
-                if best > cap:
-                    best = cap
-                current[j] = best
-                if best < row_min:
-                    row_min = best
-            if hi < lb:
-                # the band widens by at most one next row; the fresh-row
-                # semantics need that cell to read as "over the bound"
-                current[hi + 1] = cap
-            previous, current = current, previous
-            if row_min >= cap:
-                break
-        else:
-            tail = previous[lb]
-            result = tail if tail < cap else cap
-        out[idx] = result
-    return out

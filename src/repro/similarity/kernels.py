@@ -1,162 +1,28 @@
-"""Integer-id similarity kernels for interned token arrays.
+"""Integer-id similarity kernels over interned token sets.
 
 The set-based measures in :mod:`repro.similarity.set_based` hash strings on
 every call. These kernels compute the very same values over *interned*
-token sets — sorted, duplicate-free ``array('i')``/sequence-of-int ids from
-a :class:`~repro.text.intern.Vocabulary` — with merge-based intersection
-(two pointers over sorted arrays, integer comparisons only).
+token sets — ``frozenset[int]`` of ids from a
+:class:`~repro.text.intern.Vocabulary` — where CPython's C set
+intersection runs over identity-hashed small ints.
 
 Contracts, enforced by the parity tests in ``tests/test_kernels.py``:
 
-* every ``*_ids`` kernel returns **bit-identical floats** to its string
-  reference on the id arrays of the same token sets (the division and
-  multiplication orders mirror ``set_based.py`` expression for
-  expression);
+* every kernel returns **bit-identical floats** to its string reference
+  on the id sets of the same token sets (the division and multiplication
+  orders mirror ``set_based.py`` expression for expression);
 * results depend only on id *consistency*, never on id values, so any
-  vocabulary produces the same numbers;
-* the bounded variants may stop early but only ever on branches whose
-  outcome is already decided.
+  vocabulary produces the same numbers.
 
-The module-level switch (:func:`kernels_enabled` / :func:`use_kernels`)
-is how the pipeline selects between the kernel and legacy string paths;
-both produce identical outputs, which is what lets the golden snapshot
-and the bit-identity tests compare them pair-for-pair.
-
-Deployment note: the per-pair merge-array measures (``jaccard_ids`` and
-friends) are **not** routed anywhere. They regressed below the string
-references on qgm_3 tokens (0.40-0.86x, ``benchmarks/out/kernels.json``)
-because per-pair Python call overhead dominates the integer merges; the
-deployed hot paths are the id-frozenset kernels below and the
-chunk-level batch kernels in :mod:`repro.similarity.batch`. The merge
-functions stay as parity/bench references — see ``docs/performance.md``
-for the retirement decision and numbers.
+These are the per-pair shape, deployed where access is genuinely
+per-pair (the blocking debugger's scored probes). The extraction and
+blocker hot loops score whole chunks through the batch kernels in
+:mod:`repro.similarity.batch`, which use the same arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
-from typing import Iterator, Sequence
-
-IntArray = Sequence[int]
-
-# --------------------------------------------------------------------------
-# kernel switch
-# --------------------------------------------------------------------------
-
-_env = os.environ.get("REPRO_KERNELS", "1").strip().lower()
-_ENABLED = _env not in ("0", "false", "no", "off")
-
-
-def process_kernels_default() -> bool:
-    """The process-wide switch state, ignoring any ambient session.
-
-    ``REPRO_KERNELS=0`` starts with the legacy string paths;
-    :func:`use_kernels` toggles temporarily (the parity tests run both
-    paths in one process this way).
-    """
-    return _ENABLED
-
-
-def kernels_enabled() -> bool:
-    """Whether the interned-id fast paths are active (default: yes).
-
-    An ambient :class:`~repro.runtime.context.EngineSession` with
-    ``kernels=True/False`` overrides the process default for its scope
-    (e.g. ``python -m repro casestudy --no-kernels``); otherwise this is
-    :func:`process_kernels_default`.
-    """
-    from ..runtime.context import current_session
-
-    session = current_session()
-    if session is not None and session.kernels is not None:
-        return bool(session.kernels)
-    return _ENABLED
-
-
-@contextmanager
-def use_kernels(enabled: bool) -> Iterator[None]:
-    """Temporarily force the kernel paths on or off."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-# --------------------------------------------------------------------------
-# merge-based intersection
-# --------------------------------------------------------------------------
-
-
-def intersect_size(a: IntArray, b: IntArray) -> int:
-    """|A ∩ B| of two sorted unique id arrays (two-pointer merge)."""
-    i = j = n = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            n += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return n
-
-
-def intersect_size_bounded(a: IntArray, b: IntArray, need: int) -> int:
-    """|A ∩ B|, or ``-1`` as soon as it provably cannot reach *need*.
-
-    The exact size is returned whenever it is ``>= need`` (and also when
-    the merge happens to finish before the bound trips); ``-1`` stands for
-    "less than *need*, stopped early". Callers that only branch on
-    ``size >= need`` get identical behaviour to :func:`intersect_size`.
-    """
-    i = j = n = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        # best case: every remaining element matches
-        if n + min(la - i, lb - j) < need:
-            return -1
-        x, y = a[i], b[j]
-        if x == y:
-            n += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return n if n >= need else -1
-
-
-def has_overlap_at_least(a: IntArray, b: IntArray, k: int) -> bool:
-    """``|A ∩ B| >= k`` with early success/failure exits."""
-    if k <= 0:
-        return True
-    i = j = n = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if n + min(la - i, lb - j) < k:
-            return False
-        x, y = a[i], b[j]
-        if x == y:
-            n += 1
-            if n >= k:
-                return True
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return False
-
 
 # --------------------------------------------------------------------------
 # C-speed counts over id frozensets (the blockers' verification step)
@@ -229,121 +95,3 @@ def cosine_id_sets(a: "frozenset[int]", b: "frozenset[int]") -> float:
 
 
 overlap_size_id_sets = intersect_count
-
-#: Id-frozenset kernels by feature-spec measure name — the deployed
-#: *per-pair* shape: CPython's C set intersection over identity-hashed
-#: small ints beats the string references ~2-5x at case-study token
-#: counts. The chunk-level batch kernels in
-#: :mod:`repro.similarity.batch` use the same arithmetic with the
-#: per-pair call overhead amortized away, and are what the extraction
-#: and blocker hot loops actually route through.
-SET_MEASURE_SET_KERNELS = {
-    "jac": jaccard_id_sets,
-    "cos": cosine_id_sets,
-    "dice": dice_id_sets,
-    "overlap_coeff": overlap_coefficient_id_sets,
-}
-
-
-# --------------------------------------------------------------------------
-# set measures over id arrays (expression-for-expression with set_based.py)
-#
-# RETIRED from routing: kept only as allocation-free parity/bench
-# references. kernels.json showed this family 0.40-0.86x vs the string
-# references on qgm_3 (the per-pair call + two-pointer loop overhead
-# dominates), so nothing dispatches through it anymore.
-# --------------------------------------------------------------------------
-
-overlap_size_ids = intersect_size
-
-
-def jaccard_ids(a: IntArray, b: IntArray) -> float:
-    """|A ∩ B| / |A ∪ B|; 1.0 when both are empty."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    inter = intersect_size(a, b)
-    union = la + lb - inter
-    return inter / union
-
-
-def dice_ids(a: IntArray, b: IntArray) -> float:
-    """2|A ∩ B| / (|A| + |B|); 1.0 when both empty, 0.0 when one is."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    if not la or not lb:
-        return 0.0
-    return 2.0 * intersect_size(a, b) / (la + lb)
-
-
-def overlap_coefficient_ids(a: IntArray, b: IntArray) -> float:
-    """|A ∩ B| / min(|A|, |B|); 1.0 when both empty, 0.0 when one is."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    if not la or not lb:
-        return 0.0
-    return intersect_size(a, b) / min(la, lb)
-
-
-def cosine_ids(a: IntArray, b: IntArray) -> float:
-    """Ochiai/set cosine: |A ∩ B| / sqrt(|A| * |B|)."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    if not la or not lb:
-        return 0.0
-    return intersect_size(a, b) / math.sqrt(la * lb)
-
-
-
-
-# --------------------------------------------------------------------------
-# threshold-banded Levenshtein
-# --------------------------------------------------------------------------
-
-
-def levenshtein_bounded(a: str, b: str, max_dist: int) -> int:
-    """Exact edit distance when ``<= max_dist``, else ``max_dist + 1``.
-
-    The DP visits only the band ``|i - j| <= max_dist`` (any cheaper path
-    stays inside it) and exits as soon as a whole row exceeds the bound,
-    so rejecting distant strings costs O(``max_dist`` * len) instead of
-    O(len^2). ``levenshtein_bounded(a, b, k) == min(dist(a, b), k + 1)``
-    — the parity tests pin that identity against the reference DP.
-    """
-    if max_dist < 0:
-        raise ValueError(f"max_dist must be >= 0, got {max_dist}")
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    cap = max_dist + 1
-    if la == 0 or lb == 0:
-        return min(la or lb, cap)
-    if abs(la - lb) > max_dist:
-        return cap
-    if la < lb:
-        a, b = b, a
-        la, lb = lb, la
-    previous = [min(j, cap) for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        lo = max(1, i - max_dist)
-        hi = min(lb, i + max_dist)
-        current = [cap] * (lb + 1)
-        current[0] = min(i, cap)
-        ca = a[i - 1]
-        for j in range(lo, hi + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            best = previous[j - 1] + cost
-            down = previous[j] + 1
-            if down < best:
-                best = down
-            left = current[j - 1] + 1
-            if left < best:
-                best = left
-            current[j] = best if best < cap else cap
-        previous = current
-        if min(previous) >= cap:
-            return cap
-    return min(previous[lb], cap)

@@ -41,7 +41,6 @@ from .fingerprint import (
     segment_bounds,
 )
 from .segments import SegmentBlockStage, segmented_block
-from .stages import cached_block, cached_extract, cached_predict, cached_sure_matches
 from .store import ArtifactStore, StoreEvent, StoreStats
 
 __all__ = [
@@ -77,8 +76,4 @@ __all__ = [
     "fingerprint_labels",
     "fingerprint_matcher",
     "fingerprint_matrix",
-    "cached_block",
-    "cached_sure_matches",
-    "cached_extract",
-    "cached_predict",
 ]

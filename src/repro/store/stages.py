@@ -19,18 +19,13 @@ the store package may depend on them but not the other way around.
 cache key: the chunked executor guarantees parallel results are
 bit-identical to serial ones, so a stage computed with 8 workers is the
 same artifact as one computed with 1.
-
-The ``cached_*`` functions survive as deprecated shims for callers that
-predate sessions; each builds the matching operator and runs it through
-:func:`~repro.runtime.context.resolve_session`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..runtime.context import StageOperator, resolve_session
-from ..runtime.instrument import Instrumentation
+from ..runtime.context import StageOperator
 from .codecs import CANDIDATES, FEATURE_MATRIX, PAIR_LIST
 from .fingerprint import (
     fingerprint_blocker,
@@ -265,75 +260,3 @@ class PredictStage(StageOperator):
 
     def compute(self, session) -> list:
         return self.matcher.predict_matches(self.matrix)
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-session shims
-# ----------------------------------------------------------------------
-def cached_block(
-    store: Any,
-    blocker: Any,
-    ltable: Any,
-    rtable: Any,
-    l_key: str,
-    r_key: str,
-    *,
-    name: str = "",
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    pool: Any | None = None,
-) -> Any:
-    """Deprecated: build a session and run a :class:`BlockStage`."""
-    session = resolve_session(
-        workers=workers, instrumentation=instrumentation, store=store, pool=pool
-    )
-    return session.run_stage(
-        BlockStage(blocker, ltable, rtable, l_key, r_key, name=name)
-    )
-
-
-def cached_sure_matches(
-    store: Any,
-    rules: Sequence[Any],
-    ltable: Any,
-    rtable: Any,
-    l_key: str,
-    r_key: str,
-    *,
-    name: str = "sure_matches",
-    instrumentation: Instrumentation | None = None,
-) -> Any:
-    """Deprecated: build a session and run a :class:`SureMatchStage`."""
-    session = resolve_session(instrumentation=instrumentation, store=store)
-    return session.run_stage(
-        SureMatchStage(rules, ltable, rtable, l_key, r_key, name=name)
-    )
-
-
-def cached_extract(
-    store: Any,
-    candidates: Any,
-    feature_set: Any,
-    *,
-    pairs: Sequence[Any] | None = None,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    pool: Any | None = None,
-) -> Any:
-    """Deprecated: build a session and run an :class:`ExtractStage`."""
-    session = resolve_session(
-        workers=workers, instrumentation=instrumentation, store=store, pool=pool
-    )
-    return session.run_stage(ExtractStage(candidates, feature_set, pairs=pairs))
-
-
-def cached_predict(
-    store: Any,
-    matcher: Any,
-    matrix: Any,
-    *,
-    instrumentation: Instrumentation | None = None,
-) -> list:
-    """Deprecated: build a session and run a :class:`PredictStage`."""
-    session = resolve_session(instrumentation=instrumentation, store=store)
-    return session.run_stage(PredictStage(matcher, matrix))

@@ -2,9 +2,9 @@
 
 Three layers, matching the guarantees the kernels make:
 
-* **Kernel parity** (property-based): every kernel in
+* **Kernel parity** (property-based): every per-pair kernel in
   :mod:`repro.similarity.kernels` returns *bit-identical* values to its
-  string/set reference on randomized unicode token multisets — including
+  string/set reference on randomized unicode token sets — including
   empty sets, single tokens, and any interning order (results must depend
   on id consistency, never on id values).
 * **Batch parity** (property-based): every ``*_batch`` kernel in
@@ -12,14 +12,16 @@ Three layers, matching the guarantees the kernels make:
   per-pair kernel element for element — under duplicate rows, permuted
   chunk order, re-sliced chunk boundaries, a pickled CSR round trip
   (the worker wire format), and missing (``None``) rows mapping to NaN.
-* **End-to-end bit-identity**: the small-scenario blocking plan and
-  feature extraction produce the same candidate pairs (pair for pair, in
-  order) and the same feature matrix (cell for cell) with the kernel
-  switch on and off, serial and parallel — including empty candidate
-  sets, single-pair chunks, and records with empty token sets.
+* **End-to-end bit-identity**: both overlap blockers (capped and
+  uncapped), the blocking debugger and feature extraction equal the
+  string-set references in ``tests/oracles/string_paths.py`` — pair for
+  pair and in order, ranking for ranking, cell for cell — on the
+  small-scenario tables, on random small tables (empty and missing
+  cells, repeated tokens), serial and under a two-worker session.
 """
 
 import math
+import os
 import pickle
 import random
 
@@ -32,7 +34,6 @@ from repro.features.vectors import _monge_elkan_ids, extract_feature_vectors
 from repro.runtime.columnar import TokenColumn, gather_column
 from repro.similarity import batch, kernels
 from repro.similarity.hybrid import monge_elkan
-from repro.similarity.sequence import levenshtein_distance
 from repro.similarity.set_based import (
     cosine_set,
     dice,
@@ -41,7 +42,7 @@ from repro.similarity.set_based import (
     overlap_size,
 )
 from repro.text.intern import Vocabulary, id_array
-from repro.text.tokenizers import whitespace
+from tests.oracles import string_paths as oracle
 
 # Unicode-heavy alphabet: ascii, accents, CJK, an astral-plane char.
 TOKEN_ALPHABET = "abcxyz0189éüñßλжя中文字\U0001f600-"
@@ -51,21 +52,12 @@ token_sets = st.frozensets(token, max_size=12)
 token_bags = st.lists(token, max_size=10)
 
 
-def interned(vocab: Vocabulary, tokens: frozenset, seed: int):
-    """Sorted unique id array + id frozenset, interned in a random order."""
+def interned(vocab: Vocabulary, tokens: frozenset, seed: int) -> frozenset:
+    """The id frozenset of *tokens*, interned in a random order."""
     shuffled = sorted(tokens)
     random.Random(seed).shuffle(shuffled)
-    ids = [vocab.intern(t) for t in shuffled]
-    return id_array(sorted(ids)), frozenset(ids)
+    return frozenset(vocab.intern(t) for t in shuffled)
 
-
-PARITY_CASES = [
-    (jaccard, kernels.jaccard_ids),
-    (dice, kernels.dice_ids),
-    (cosine_set, kernels.cosine_ids),
-    (overlap_coefficient, kernels.overlap_coefficient_ids),
-    (overlap_size, kernels.overlap_size_ids),
-]
 
 SET_PARITY_CASES = [
     (jaccard, kernels.jaccard_id_sets),
@@ -83,10 +75,8 @@ class TestSetKernelParity:
         # One shared vocabulary, randomized interning order: parity must
         # hold for any id assignment, shared ids included.
         vocab = Vocabulary()
-        ia, sa = interned(vocab, a, seed)
-        ib, sb = interned(vocab, b, seed + 1)
-        for reference, kernel in PARITY_CASES:
-            assert kernel(ia, ib) == reference(a, b), kernel.__name__
+        sa = interned(vocab, a, seed)
+        sb = interned(vocab, b, seed + 1)
         for reference, kernel in SET_PARITY_CASES:
             assert kernel(sa, sb) == reference(a, b), kernel.__name__
         assert kernels.intersect_count(sa, sb) == overlap_size(a, b)
@@ -95,18 +85,9 @@ class TestSetKernelParity:
     @given(token_sets, token_sets, st.integers(0, 5), st.integers(0, 2**31))
     def test_bounded_variants(self, a, b, k, seed):
         vocab = Vocabulary()
-        ia, sa = interned(vocab, a, seed)
-        ib, sb = interned(vocab, b, seed + 1)
-        exact = len(a & b)
-        assert kernels.intersect_size(ia, ib) == exact
-        bounded = kernels.intersect_size_bounded(ia, ib, k)
-        if exact >= k:
-            assert bounded == exact
-        else:
-            assert bounded == -1 or bounded == exact  # may finish the merge
-            assert bounded < k
-        assert kernels.has_overlap_at_least(ia, ib, k) == (exact >= k)
-        assert kernels.overlap_at_least(sa, sb, k) == (exact >= k)
+        sa = interned(vocab, a, seed)
+        sb = interned(vocab, b, seed + 1)
+        assert kernels.overlap_at_least(sa, sb, k) == (len(a & b) >= k)
 
     @settings(max_examples=150, deadline=None)
     @given(token_sets, token_sets, st.integers(0, 2**31), st.integers(0, 2**31))
@@ -114,26 +95,32 @@ class TestSetKernelParity:
         # Two vocabularies interning in different orders assign different
         # ids; every kernel value must be unchanged.
         v1, v2 = Vocabulary(), Vocabulary()
-        ia1, _ = interned(v1, a, seed1)
-        ib1, _ = interned(v1, b, seed1 + 1)
-        ia2, _ = interned(v2, a, seed2)
-        ib2, _ = interned(v2, b, seed2 + 1)
-        for _, kernel in PARITY_CASES:
-            assert kernel(ia1, ib1) == kernel(ia2, ib2), kernel.__name__
+        sa1 = interned(v1, a, seed1)
+        sb1 = interned(v1, b, seed1 + 1)
+        sa2 = interned(v2, a, seed2)
+        sb2 = interned(v2, b, seed2 + 1)
+        for _, kernel in SET_PARITY_CASES:
+            assert kernel(sa1, sb1) == kernel(sa2, sb2), kernel.__name__
+        for _, _, batch_kernel in BATCH_PARITY_CASES:
+            got1 = batch_kernel(TokenColumn.from_sets([sa1]), TokenColumn.from_sets([sb1]))
+            got2 = batch_kernel(TokenColumn.from_sets([sa2]), TokenColumn.from_sets([sb2]))
+            assert list(got1) == list(got2), batch_kernel.__name__
+        for k in range(4):
+            assert kernels.overlap_at_least(sa1, sb1, k) == kernels.overlap_at_least(
+                sa2, sb2, k
+            )
 
     def test_edge_cases(self):
         vocab = Vocabulary()
-        empty = id_array([])
-        single = id_array([vocab.intern("x")])
-        assert kernels.jaccard_ids(empty, empty) == jaccard(frozenset(), frozenset()) == 1.0
-        assert kernels.dice_ids(empty, single) == dice(frozenset(), frozenset("x")) == 0.0
-        assert kernels.cosine_ids(single, empty) == 0.0
-        assert kernels.overlap_coefficient_ids(empty, empty) == 1.0
-        assert kernels.overlap_size_ids(single, single) == 1
-        assert kernels.has_overlap_at_least(empty, single, 0) is True
-        assert kernels.has_overlap_at_least(empty, single, 1) is False
-        assert kernels.overlap_at_least(frozenset(), frozenset({1}), 0) is True
-        assert kernels.jaccard_id_sets(frozenset(), frozenset()) == 1.0
+        empty = frozenset()
+        single = frozenset({vocab.intern("x")})
+        assert kernels.jaccard_id_sets(empty, empty) == jaccard(empty, empty) == 1.0
+        assert kernels.dice_id_sets(empty, single) == dice(empty, frozenset("x")) == 0.0
+        assert kernels.cosine_id_sets(single, empty) == 0.0
+        assert kernels.overlap_coefficient_id_sets(empty, empty) == 1.0
+        assert kernels.overlap_size_id_sets(single, single) == 1
+        assert kernels.overlap_at_least(empty, single, 0) is True
+        assert kernels.overlap_at_least(empty, single, 1) is False
 
 
 #: (string reference, per-pair id-frozenset kernel, batch kernel)
@@ -157,8 +144,8 @@ def _interned_rows(rows, seed):
     vocab = Vocabulary()
     sa_col, sb_col = [], []
     for i, (a, b) in enumerate(rows):
-        _, sa = interned(vocab, a, seed + 2 * i)
-        _, sb = interned(vocab, b, seed + 2 * i + 1)
+        sa = interned(vocab, a, seed + 2 * i)
+        sb = interned(vocab, b, seed + 2 * i + 1)
         sa_col.append(sa)
         sb_col.append(sb)
     return sa_col, sb_col
@@ -292,32 +279,10 @@ class TestBatchKeepMasks:
         ]
 
 
-class TestLevenshteinBatch:
-    text = st.text(alphabet=TOKEN_ALPHABET + " ", max_size=12)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(text, text), max_size=8), st.integers(0, 6))
-    def test_equals_per_pair_and_clamped_reference(self, rows, k):
-        rows = rows + rows  # duplicates must not perturb the reused buffers
-        got = list(
-            batch.levenshtein_bounded_batch(
-                [a for a, _ in rows], [b for _, b in rows], k
-            )
-        )
-        assert got == [kernels.levenshtein_bounded(a, b, k) for a, b in rows]
-        assert got == [min(levenshtein_distance(a, b), k + 1) for a, b in rows]
-
-    def test_rejects_negative_bound_and_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            batch.levenshtein_bounded_batch(["a"], ["b"], -1)
-        with pytest.raises(ValueError):
-            batch.levenshtein_bounded_batch(["a"], [], 2)
-
-
 class TestTokenColumn:
     def test_entries_back_the_cached_frozensets(self):
         vocab = Vocabulary()
-        _, sa = interned(vocab, frozenset({"a", "b"}), 0)
+        sa = interned(vocab, frozenset({"a", "b"}), 0)
 
         class Entry:  # minimal InternedTokens stand-in
             def __init__(self, ids):
@@ -353,7 +318,7 @@ class TestTokenColumn:
 
     def test_gather_column_indexes_rows(self):
         vocab = Vocabulary()
-        _, sa = interned(vocab, frozenset({"x"}), 0)
+        sa = interned(vocab, frozenset({"x"}), 0)
 
         class Entry:
             def __init__(self, ids):
@@ -383,35 +348,15 @@ class TestMongeElkanParity:
         assert _monge_elkan_ids(ia, ib, token_map, jw_memo) == monge_elkan(a, b)
 
 
-class TestLevenshteinBounded:
-    text = st.text(alphabet=TOKEN_ALPHABET + " ", max_size=12)
-
-    @settings(max_examples=250, deadline=None)
-    @given(text, text, st.integers(0, 6))
-    def test_equals_clamped_reference(self, a, b, k):
-        assert kernels.levenshtein_bounded(a, b, k) == min(
-            levenshtein_distance(a, b), k + 1
-        )
-
-    def test_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            kernels.levenshtein_bounded("a", "b", -1)
-
-
-class TestKernelSwitch:
-    def test_use_kernels_restores_previous_state(self):
-        before = kernels.kernels_enabled()
-        with kernels.use_kernels(not before):
-            assert kernels.kernels_enabled() is (not before)
-            with kernels.use_kernels(before):
-                assert kernels.kernels_enabled() is before
-            assert kernels.kernels_enabled() is (not before)
-        assert kernels.kernels_enabled() is before
-
-
 # ----------------------------------------------------------------------
-# end-to-end bit-identity: kernel path vs legacy string path
+# end-to-end bit-identity: deployed kernel paths vs the string oracles
 # ----------------------------------------------------------------------
+
+WORKERS = int(os.environ.get("REPRO_WORKERS", "2"))
+
+#: Block-size caps the blocker parity tests run under: uncapped, and a cap
+#: small enough to skip the scenario titles' most common words.
+CAPS = (None, 8)
 
 
 @pytest.fixture(scope="module")
@@ -419,66 +364,259 @@ def projected(case_study):
     return case_study.projected
 
 
+def _table_args(tables):
+    return (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
+
+
+def _title_blockers(cap):
+    from repro.blocking import OverlapBlocker, OverlapCoefficientBlocker
+    from repro.casestudy.blocking_plan import (
+        COEFFICIENT_THRESHOLD,
+        OVERLAP_THRESHOLD,
+    )
+    from repro.text.normalize import normalize_title
+
+    return (
+        OverlapBlocker(
+            "AwardTitle", "AwardTitle", threshold=OVERLAP_THRESHOLD,
+            normalizer=normalize_title, block_size_policy=cap,
+        ),
+        OverlapCoefficientBlocker(
+            "AwardTitle", "AwardTitle", threshold=COEFFICIENT_THRESHOLD,
+            normalizer=normalize_title, block_size_policy=cap,
+        ),
+    )
+
+
+def _assert_plan_matches_oracle(tables, outcome):
+    """The C2/C3 pairs, C and the debugger report against the oracles."""
+    from repro.blocking import CandidateSet, union_candidates
+
+    overlap, coefficient = _title_blockers(None)
+    args = _table_args(tables)
+    c2 = oracle.overlap_pairs(overlap, *args)
+    c3 = oracle.coefficient_pairs(coefficient, *args)
+    assert outcome.c2.pairs == c2, "C2: pair list or order differs"
+    assert outcome.c3.pairs == c3, "C3: pair list or order differs"
+    union = union_candidates(
+        [outcome.c1, CandidateSet(*args, c2), CandidateSet(*args, c3)]
+    )
+    assert outcome.candidates.pairs == union.pairs
+    # run_blocking ranks the top 100 by title
+    top = oracle.debugger_top(outcome.candidates, [("AwardTitle", "AwardTitle")], 100)
+    assert list(outcome.debugger_top) == top
+
+
+def _case_feature_set(tables):
+    from repro.casestudy.matching import base_feature_set
+    from repro.features.generate import add_case_insensitive_variants
+
+    return add_case_insensitive_variants(
+        base_feature_set(tables), attrs=["AwardTitle"]
+    )
+
+
 def test_blocking_plan_bit_identical(projected):
     from repro.casestudy.blocking_plan import run_blocking
 
-    with kernels.use_kernels(False):
-        legacy = run_blocking(projected)
-    with kernels.use_kernels(True):
-        kernel = run_blocking(projected)
-    for stage in ("c1", "c2", "c3", "candidates"):
-        l_pairs = getattr(legacy, stage).pairs
-        k_pairs = getattr(kernel, stage).pairs
-        assert l_pairs == k_pairs, f"{stage}: pair list or order differs"
-    assert legacy.debugger_top == kernel.debugger_top
+    outcome = run_blocking(projected)
+    assert outcome.debugger_top, "the debugger check must rank something"
+    _assert_plan_matches_oracle(projected, outcome)
 
 
 def test_feature_matrix_bit_identical(projected):
     from repro.casestudy.blocking_plan import run_blocking
-    from repro.casestudy.matching import base_feature_set
-    from repro.features.generate import add_case_insensitive_variants
 
     candidates = run_blocking(projected).candidates
-    fs = add_case_insensitive_variants(
-        base_feature_set(projected), attrs=["AwardTitle"]
-    )
-    with kernels.use_kernels(False):
-        legacy = extract_feature_vectors(candidates, fs)
-    with kernels.use_kernels(True):
-        kernel = extract_feature_vectors(candidates, fs)
-    assert legacy.pairs == kernel.pairs
-    assert legacy.feature_names == kernel.feature_names
-    assert np.array_equal(legacy.values, kernel.values, equal_nan=True)
+    fs = _case_feature_set(projected)
+    kernel = extract_feature_vectors(candidates, fs)
+    assert kernel.pairs == candidates.pairs
+    assert kernel.feature_names == fs.names
+    expected = oracle.feature_values(candidates, fs)
+    assert np.array_equal(kernel.values, expected, equal_nan=True)
     # spot-check: matrices are finite where defined and non-degenerate
     assert np.isfinite(kernel.values[~np.isnan(kernel.values)]).all()
 
 
 def test_overlap_blocker_kernel_off_matches_on(projected):
-    from repro.blocking import OverlapBlocker
-
-    blocker = OverlapBlocker("AwardTitle", "AwardTitle", threshold=3)
-    args = (projected.umetrics, projected.usda, projected.l_key, projected.r_key)
-    with kernels.use_kernels(False):
-        legacy = blocker.block_tables(*args)
-    with kernels.use_kernels(True):
-        kernel = blocker.block_tables(*args)
-    assert legacy.pairs == kernel.pairs
+    args = _table_args(projected)
+    for cap in CAPS:
+        blocker, _ = _title_blockers(cap)
+        pairs = blocker.block_tables(*args).pairs
+        assert pairs == oracle.overlap_pairs(blocker, *args), f"cap={cap}"
+        assert pairs, f"cap={cap}: no pairs to compare"
 
 
 def test_coefficient_blocker_kernel_off_matches_on(projected):
-    from repro.blocking import OverlapCoefficientBlocker
-    from repro.text.normalize import normalize_title
+    args = _table_args(projected)
+    for cap in CAPS:
+        _, blocker = _title_blockers(cap)
+        pairs = blocker.block_tables(*args).pairs
+        assert pairs == oracle.coefficient_pairs(blocker, *args), f"cap={cap}"
+        assert pairs, f"cap={cap}: no pairs to compare"
 
-    blocker = OverlapCoefficientBlocker(
-        "AwardTitle", "AwardTitle", threshold=0.7,
-        tokenizer=whitespace, normalizer=normalize_title,
+
+@pytest.mark.parallel
+@pytest.mark.skipif(WORKERS < 2, reason="REPRO_WORKERS < 2 disables parallel tests")
+def test_two_worker_session_matches_oracles(projected):
+    from repro.casestudy.blocking_plan import run_blocking
+    from repro.runtime import EngineSession
+
+    args = _table_args(projected)
+    fs = _case_feature_set(projected)
+    with EngineSession(workers=2) as session:
+        outcome = run_blocking(projected, session=session)
+        for cap in CAPS:
+            overlap, coefficient = _title_blockers(cap)
+            assert overlap.block_tables(*args, session=session).pairs == (
+                oracle.overlap_pairs(overlap, *args)
+            ), f"overlap cap={cap}"
+            assert coefficient.block_tables(*args, session=session).pairs == (
+                oracle.coefficient_pairs(coefficient, *args)
+            ), f"coefficient cap={cap}"
+        matrix = extract_feature_vectors(outcome.candidates, fs, session=session)
+        assert session.worker_pool.pickled_chunks > 0, "nothing ran in the pool"
+    _assert_plan_matches_oracle(projected, outcome)
+    assert matrix.pairs == outcome.candidates.pairs
+    expected = oracle.feature_values(outcome.candidates, fs)
+    assert np.array_equal(matrix.values, expected, equal_nan=True)
+
+
+# ----------------------------------------------------------------------
+# random small tables: empty and missing cells, repeated tokens, caps
+# ----------------------------------------------------------------------
+
+#: Words with case and punctuation variants, so normalization matters and
+#: repeated tokens collapse; short enough for 3-gram tokens to overlap.
+WORDS = ["corn", "Corn", "dodder", "swamp", "of", "the", "λж", "fungi-cide", "a"]
+
+cells = st.one_of(
+    st.none(),
+    st.sampled_from(["", "   ", "!!"]),
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join),
+)
+numbers = st.one_of(st.none(), st.integers(-3, 3), st.floats(allow_nan=True, width=16))
+
+
+@st.composite
+def table_pairs(draw):
+    """Two small tables. Right ids are ints sharing their low six bits, so
+    they collide in the blockers' small ``seen`` sets and pair emission
+    order follows probe order; left ids are strings."""
+    from repro.table import Table
+
+    n_left = draw(st.integers(0, 10))
+    n_right = draw(st.integers(0, 10))
+    left = Table(
+        {
+            "id": [f"l{i}" for i in range(n_left)],
+            "t": draw(st.lists(cells, min_size=n_left, max_size=n_left)),
+            "n": draw(st.lists(numbers, min_size=n_left, max_size=n_left)),
+        },
+        name="L",
     )
-    args = (projected.umetrics, projected.usda, projected.l_key, projected.r_key)
-    with kernels.use_kernels(False):
-        legacy = blocker.block_tables(*args)
-    with kernels.use_kernels(True):
-        kernel = blocker.block_tables(*args)
-    assert legacy.pairs == kernel.pairs
+    right = Table(
+        {
+            "id": [64 * i for i in range(n_right)],
+            "t": draw(st.lists(cells, min_size=n_right, max_size=n_right)),
+            "n": draw(st.lists(numbers, min_size=n_right, max_size=n_right)),
+        },
+        name="R",
+    )
+    return left, right
+
+
+def _random_feature_set():
+    from repro.features.feature import (
+        custom_feature,
+        numeric_feature,
+        string_feature,
+        token_feature,
+    )
+    from repro.features.generate import FeatureSet
+    from repro.text.tokenizers import TOKENIZERS
+
+    features = [
+        token_feature("t", "t", measure, TOKENIZERS[tok], tok, casefold=casefold)
+        for measure in ("jac", "cos", "dice", "overlap_coeff", "mel")
+        for tok in ("ws", "qgm_3")
+        for casefold in (False, True)
+    ]
+    features += [string_feature("t", "t", m) for m in ("lev_sim", "jw", "exact_str")]
+    features.append(numeric_feature("n", "n", "abs_diff"))
+    # no spec: extracted in-process and never memoized
+    features.append(custom_feature("t_len_gap", "t", "t", lambda a, b: len(a) - len(b)))
+    return FeatureSet(features)
+
+
+class TestRandomTablesMatchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table_pairs(),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+        st.sampled_from([None, 1, 2, 4]),
+        st.sampled_from(["ws", "qgm_3"]),
+        st.booleans(),
+    )
+    def test_blockers_match_oracle(self, tables, k, t, cap, tok, normalize):
+        from repro.blocking import OverlapBlocker, OverlapCoefficientBlocker
+        from repro.text.normalize import normalize_title
+        from repro.text.tokenizers import TOKENIZERS
+
+        left, right = tables
+        recipe = dict(
+            tokenizer=TOKENIZERS[tok],
+            normalizer=normalize_title if normalize else None,
+            block_size_policy=cap,
+        )
+        overlap = OverlapBlocker("t", "t", threshold=k, **recipe)
+        coefficient = OverlapCoefficientBlocker("t", "t", threshold=t, **recipe)
+        args = (left, right, "id", "id")
+        assert overlap.block_tables(*args).pairs == oracle.overlap_pairs(overlap, *args)
+        assert coefficient.block_tables(*args).pairs == oracle.coefficient_pairs(
+            coefficient, *args
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_pairs(), st.data())
+    def test_extraction_matches_oracle(self, tables, data):
+        from repro.blocking.candidate_set import CandidateSet
+
+        left, right = tables
+        grid = [(lid, rid) for lid in left["id"] for rid in right["id"]]
+        pairs = data.draw(
+            st.lists(st.sampled_from(grid), max_size=12) if grid else st.just([]),
+            label="pairs",
+        )
+        # explicit pairs may repeat; the candidate set itself deduplicates
+        candidates = CandidateSet(left, right, "id", "id", pairs)
+        fs = _random_feature_set()
+        matrix = extract_feature_vectors(candidates, fs, pairs)
+        assert matrix.pairs == pairs
+        assert np.array_equal(
+            matrix.values, oracle.feature_values(candidates, fs, pairs), equal_nan=True
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_pairs(), st.data(), st.integers(1, 6))
+    def test_debugger_matches_oracle(self, tables, data, top_k):
+        from repro.blocking import debug_blocker
+        from repro.blocking.candidate_set import CandidateSet
+
+        left, right = tables
+        grid = [(lid, rid) for lid in left["id"] for rid in right["id"]]
+        pairs = data.draw(
+            st.lists(st.sampled_from(grid), max_size=6, unique=True)
+            if grid
+            else st.just([]),
+            label="pairs",
+        )
+        candidates = CandidateSet(left, right, "id", "id", pairs)
+        attrs = [("t", "t")]
+        assert debug_blocker(candidates, attrs, top_k=top_k) == oracle.debugger_top(
+            candidates, attrs, top_k
+        )
 
 
 # ----------------------------------------------------------------------
@@ -518,41 +656,36 @@ def _edge_tables():
 
 
 def _edge_matrix(pairs):
-    """Feature matrices for *pairs* with the switch off and on."""
+    """The deployed feature matrix for *pairs* and the oracle's values."""
     from repro.blocking.candidate_set import CandidateSet
     from repro.features.generate import generate_features
 
     left, right = _edge_tables()
     candidates = CandidateSet(left, right, "id", "id", pairs)
     fs = generate_features(left, right, exclude_attrs=["id"])
-    with kernels.use_kernels(False):
-        legacy = extract_feature_vectors(candidates, fs)
-    with kernels.use_kernels(True):
-        kernel = extract_feature_vectors(candidates, fs)
-    return legacy, kernel
+    return extract_feature_vectors(candidates, fs), oracle.feature_values(candidates, fs)
 
 
 def test_empty_candidate_chunk_extraction():
-    legacy, kernel = _edge_matrix([])
-    assert legacy.pairs == kernel.pairs == []
-    assert legacy.values.shape == kernel.values.shape
+    kernel, expected = _edge_matrix([])
+    assert kernel.pairs == []
+    assert kernel.values.shape == expected.shape
     assert kernel.values.shape[0] == 0
 
 
 def test_single_pair_chunk_extraction():
-    legacy, kernel = _edge_matrix([(1, 10)])
-    assert legacy.pairs == kernel.pairs == [(1, 10)]
-    assert np.array_equal(legacy.values, kernel.values, equal_nan=True)
+    kernel, expected = _edge_matrix([(1, 10)])
+    assert kernel.pairs == [(1, 10)]
+    assert np.array_equal(kernel.values, expected, equal_nan=True)
 
 
 def test_empty_and_missing_token_sets_extraction():
     # Rows pairing empty token sets with non-empty, empty-with-empty, and
-    # missing cells must score identically on the batch and string paths
-    # (missing cells as NaN on both).
+    # missing cells must score like the oracle (missing cells as NaN).
     pairs = [(1, 10), (2, 30), (2, 20), (3, 10), (1, 40), (4, 20)]
-    legacy, kernel = _edge_matrix(pairs)
-    assert legacy.pairs == kernel.pairs
-    assert np.array_equal(legacy.values, kernel.values, equal_nan=True)
+    kernel, expected = _edge_matrix(pairs)
+    assert kernel.pairs == pairs
+    assert np.array_equal(kernel.values, expected, equal_nan=True)
     missing_rows = [pairs.index((3, 10)), pairs.index((1, 40))]
     names = kernel.feature_names
     token_cols = [i for i, n in enumerate(names) if "_jac_" in n or "_cos_" in n]
@@ -566,15 +699,16 @@ def test_blockers_tolerate_empty_token_records():
     from repro.blocking import OverlapBlocker, OverlapCoefficientBlocker
 
     left, right = _edge_tables()
-    for blocker in (
-        OverlapBlocker("title", "title", threshold=2),
-        OverlapCoefficientBlocker("title", "title", threshold=0.5),
+    args = (left, right, "id", "id")
+    for blocker, reference in (
+        (OverlapBlocker("title", "title", threshold=2), oracle.overlap_pairs),
+        (
+            OverlapCoefficientBlocker("title", "title", threshold=0.5),
+            oracle.coefficient_pairs,
+        ),
     ):
-        with kernels.use_kernels(False):
-            legacy = blocker.block_tables(left, right, "id", "id")
-        with kernels.use_kernels(True):
-            kernel = blocker.block_tables(left, right, "id", "id")
-        assert legacy.pairs == kernel.pairs, type(blocker).__name__
+        kernel = blocker.block_tables(*args)
+        assert kernel.pairs == reference(blocker, *args), type(blocker).__name__
         # empty/missing records never pair
         for lid, rid in kernel.pairs:
             assert lid in (1, 4) and rid in (10, 20)

@@ -134,9 +134,10 @@ class TestTokenCache:
     def test_tokens_by_id_drops_tokenless_rows(self):
         cache = TokenCache()
         table = self.make_table()
-        by_id = cache.tokens_by_id(table, "t", "id", whitespace, normalize_title)
+        by_id = cache.token_ids_by_id(table, "t", "id", whitespace, normalize_title)
         assert set(by_id) == {1}
-        assert by_id[1] == frozenset({"corn", "fungicide"})
+        token_of = cache.vocabulary.token_of
+        assert {token_of(tid) for tid in by_id[1].ids} == {"corn", "fungicide"}
 
     def test_clear(self):
         cache = TokenCache()
@@ -400,7 +401,8 @@ class TestProbePayloadOrderStability:
     An unpickled frozenset can iterate in a different order than the
     original (reinsertion may produce a different hash-table layout), so
     any chunk payload whose *output order* depends on token iteration
-    order must ship that order as a list, materialized in the parent.
+    order must ship that order as an ordered sequence (the coefficient
+    probe's ``array('i')``), materialized in the parent.
     """
 
     @staticmethod
@@ -426,18 +428,29 @@ class TestProbePayloadOrderStability:
     def test_coefficient_probe_order_survives_pickle(self):
         import pickle
 
-        from repro.blocking.overlap_coefficient import _probe_coefficient_chunk
+        from repro.blocking.overlap_coefficient import _probe_coefficient_ids_chunk
+        from repro.runtime.columnar import TokenColumn
+        from repro.text.intern import Vocabulary, id_array
 
         witness = self._order_changing_frozenset()
         if witness is None:
             pytest.skip("no order-changing frozenset under this hash seed")
-        # One right record per left token: every candidate survives, so
-        # pair emission order is exactly the probe order.
-        r_tokens = {f"r{i}": frozenset([tok]) for i, tok in enumerate(witness)}
-        index = {tok: [rid] for rid, toks in r_tokens.items() for tok in toks}
-        l_items = [("l0", list(witness), witness)]  # as _block_strings builds it
-        payload = (l_items, r_tokens, index, 1e-9)
+        # The parent materializes the probe order from the cell's frozenset
+        # (ids assigned in sorted-token order, so the probe is unsorted);
+        # one right record per left token, so every candidate survives, and
+        # rids share their low bits, so emission follows insertion order.
+        vocab = Vocabulary()
+        for t in sorted(witness):
+            vocab.intern(t)
+        probe = id_array(vocab.intern(t) for t in witness)
+        rids = tuple(64 * (i + 1) for i in range(len(probe)))
+        r_col = TokenColumn.from_sets([frozenset([tid]) for tid in probe])
+        index = {tid: [rid] for rid, tid in zip(rids, probe)}
+        l_col = TokenColumn.from_sets([frozenset(probe)])
+        payload = (["l0"], [probe], l_col, rids, r_col, index, 1e-9)
         shipped = pickle.loads(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        assert _probe_coefficient_chunk(*shipped) == _probe_coefficient_chunk(*payload)
+        inline = _probe_coefficient_ids_chunk(*payload)
+        assert len(inline) == len(witness)
+        assert _probe_coefficient_ids_chunk(*shipped) == inline

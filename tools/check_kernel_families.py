@@ -38,7 +38,6 @@ TOKENIZATIONS = ("ws", "qgm_3")
 FAMILY_KEYS = {
     "set": [f"family_set_{tok}_speedup" for tok in TOKENIZATIONS],
     "batch": [f"family_batch_{tok}_speedup" for tok in TOKENIZATIONS],
-    "levenshtein": ["levenshtein_bounded_speedup", "levenshtein_batch_speedup"],
 }
 
 
