@@ -42,7 +42,9 @@ from ..table import Table
 #: artifacts by table *segments* (see :func:`fingerprint_table_segments`
 #: and :func:`repro.store.segments.segmented_block`), so whole-table and
 #: segment-level artifacts must never share a key space with /3 entries.
-CODE_SALT = "repro-store/4"
+#: /5: LSH signatures hash token text instead of interned ids, so MinHash
+#: and SimHash outputs change for an unchanged blocker config.
+CODE_SALT = "repro-store/5"
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The artifact store assumes every cacheable stage is a pure function of its
 fingerprinted inputs. That only holds if the seeded primitives underneath
-— down-sampling, forest training, cross-validation — are bit-identical
+— down-sampling, forest training, cross-validation, LSH blocking — are
+bit-identical
 across *fresh processes* (not merely within one process, where dict order
 and interning can mask nondeterminism). Each scriptlet below runs twice in
 subprocesses with different ``PYTHONHASHSEED`` values and must print the
@@ -79,6 +80,31 @@ emit({
 })
 """
 
+LSH_TABLES = PREAMBLE + """
+from repro.blocking import MinHashLSHBlocker, SimHashBlocker
+from repro.datasets import ScaleConfig, scale_tables
+
+left, right, _ = scale_tables(ScaleConfig(rows=300, seed=4))
+
+def emit_pairs(*blockers):
+    emit([b.block_tables(left, right, "id", "id").pairs for b in blockers])
+"""
+
+MINHASH = LSH_TABLES + """
+emit_pairs(
+    MinHashLSHBlocker("title", "title", threshold=0.3, seed=2),
+    MinHashLSHBlocker("title", "title", threshold=0.2, bands=8, rows=3,
+                      block_size_policy=2),
+)
+"""
+
+SIMHASH = LSH_TABLES + """
+emit_pairs(
+    SimHashBlocker("title", "title", max_hamming=8, seed=5),
+    SimHashBlocker("title", "title", max_hamming=8, block_size_policy=3),
+)
+"""
+
 
 def run_fresh(script: str, hash_seed: str) -> str:
     env = dict(os.environ)
@@ -101,6 +127,8 @@ def run_fresh(script: str, hash_seed: str) -> str:
         ("down_sample", DOWN_SAMPLE),
         ("forest_training", FOREST),
         ("cross_validation", CROSS_VALIDATE),
+        ("minhash_lsh", MINHASH),
+        ("simhash", SIMHASH),
     ],
 )
 def test_bit_identical_across_processes(name, script):

@@ -1,6 +1,9 @@
-"""Tests for repro.text: tokenizers, normalization, number patterns."""
+"""Tests for repro.text: tokenizers, normalization, number patterns,
+token hashes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text import (
     KNOWN_AWARD_PATTERNS,
@@ -17,6 +20,7 @@ from repro.text import (
     unique,
     whitespace,
 )
+from repro.text.intern import Vocabulary, fnv1a_64
 
 
 class TestTokenizers:
@@ -107,3 +111,36 @@ class TestPatterns:
 
     def test_comparable_with_missing(self):
         assert not comparable(None, "WIS01040")
+
+
+def fnv1a_reference(token):
+    h = 0xCBF29CE484222325
+    for byte in token.encode("utf-8", "surrogatepass"):
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+class TestTokenHashes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=12), max_size=20))
+    def test_fnv1a_matches_bytewise_reference(self, tokens):
+        assert fnv1a_64(tokens).tolist() == [fnv1a_reference(t) for t in tokens]
+
+    def test_known_values(self):
+        # published FNV-1a 64 test vectors
+        assert fnv1a_64(["", "a", "foobar"]).tolist() == [
+            0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8,
+        ]
+
+    def test_vocabulary_hashes_follow_text_not_ids(self):
+        first, second = Vocabulary(), Vocabulary()
+        first.intern_all(["corn", "swamp"])
+        first.token_hashes()
+        first.intern_all(["dodder", "λж"])  # extends the cached hashes
+        second.intern_all(["λж", "dodder", "swamp", "corn"])
+        for token in ["corn", "swamp", "dodder", "λж"]:
+            assert (
+                first.token_hashes()[first.id_of(token)]
+                == second.token_hashes()[second.id_of(token)]
+                == fnv1a_reference(token)
+            )
