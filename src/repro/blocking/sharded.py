@@ -62,14 +62,12 @@ from ..runtime.columnar import TokenColumn
 from ..runtime.context import EngineSession
 from ..runtime.instrument import count, stage
 from ..similarity import batch
-from ..text.intern import ID_TYPECODE
+from ..text.intern import ID_TYPECODE, fnv1a_64
 from .overlap import OverlapBlocker
 from .overlap_coefficient import OverlapCoefficientBlocker
 from .policy import resolve_policy
 
 _MASK64 = (1 << 64) - 1
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 
 #: Default shard count — sized for the 4-worker pool the benchmarks use
 #: (2 shards per worker keeps the pool busy when ranges are skewed).
@@ -106,11 +104,7 @@ def hash64(token: Any) -> int:
     """
     if isinstance(token, int) and not isinstance(token, bool):
         return _splitmix64(token & _MASK64)
-    data = token.encode("utf-8") if isinstance(token, str) else repr(token).encode()
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
+    return int(fnv1a_64([token if isinstance(token, str) else repr(token)])[0])
 
 
 def token_shard(token: Any, shards: int) -> int:
