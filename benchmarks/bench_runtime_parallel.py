@@ -81,7 +81,9 @@ def test_runtime_parallel(run, emit_report):
         )
         parallel_matrix, parallel_extract_s = _timed(
             extract_feature_vectors, parallel_block.candidates, features,
-            session=session.derive(instrumentation=feat_instr),
+            session=EngineSession(
+                instrumentation=feat_instr, pool=session.worker_pool
+            ),
         )
         pool = session.worker_pool
         pool_bytes, pool_chunks = pool.pickled_bytes, pool.pickled_chunks

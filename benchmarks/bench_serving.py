@@ -54,7 +54,7 @@ def test_serving_delta_beats_warm_rerun(benchmark, run, tmp_path, emit_report):
                      tables.r_key, matcher, run.matching.feature_set)
     started = time.perf_counter()
     rerun = run_combined_workflow(*common, with_negative_rules=True,
-                                  store=store)
+                                  session=EngineSession(store=store))
     rerun_seconds = time.perf_counter() - started
 
     # the serving path: bootstrap over the v2 tables (untimed — that is

@@ -37,13 +37,13 @@ def test_store_incremental_patch_replay(benchmark, run, tmp_path, emit_report):
     cold_store = ArtifactStore(root)
     started = time.perf_counter()
     cold = run_combined_workflow(*common, with_negative_rules=False,
-                                 store=cold_store)
+                                 session=EngineSession(store=cold_store))
     cold_seconds = time.perf_counter() - started
 
     # warm replay: Figure 10 (the Section-10 patch) over the same store
-    # root — driven by an ambient EngineSession instead of the legacy
-    # store= kwarg, so this bench also asserts the two plumbing paths
-    # produce byte-identical artifacts and reuse decisions
+    # root — driven by an ambient EngineSession instead of an explicit
+    # session=, so this bench also asserts the two ways of passing a
+    # session produce byte-identical artifacts and reuse decisions
     warm_store = ArtifactStore(root)
     started = time.perf_counter()
     with EngineSession(store=warm_store):

@@ -88,9 +88,9 @@ def run_blocking(
     stage) reuse one set of worker processes.
 
     *blockers* substitutes a custom three-blocker plan (e.g. built by
-    :func:`repro.blocking.create_blockers` from ``casestudy --blocker``
-    configs) for the paper's recipe; it must supply exactly three
-    blockers, applied in C1/C2/C3 order.
+    :func:`repro.blocking.create_blockers` from configs, or taken from a
+    ``casestudy --plan`` spec) for the paper's recipe; it must supply
+    exactly three blockers, applied in C1/C2/C3 order.
     """
     resolved = resolve_session(session)
     instrumentation = resolved.instrumentation

@@ -29,7 +29,6 @@ from ..plan.figure10 import drop_train_nodes, figure10_spec, strip_negative_rule
 from ..plan.spec import NodeSpec, PipelineSpec
 from ..rules.positive import award_project_rule, m1_rule
 from ..runtime.context import EngineSession, resolve_session
-from ..runtime.instrument import Instrumentation
 from ..table.ops import concat
 from .matching import sure_match_pairs
 from .preprocess import ProjectedTables
@@ -107,10 +106,6 @@ def train_workflow_matcher(
     labels: LabeledPairs,
     feature_set: FeatureSet,
     matcher: MLMatcher,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store=None,
-    pool=None,
     *,
     session: EngineSession | None = None,
 ) -> MLMatcher:
@@ -126,13 +121,7 @@ def train_workflow_matcher(
 
     A thin wrapper over a single plan ``train`` node (protocol
     ``workflow_matcher``) — the same node the Figure-10 spec runs."""
-    resolved = resolve_session(
-        session,
-        workers=workers,
-        instrumentation=instrumentation,
-        store=store,
-        pool=pool,
-    )
+    resolved = resolve_session(session)
     spec = PipelineSpec(
         name="train_workflow_matcher",
         nodes=(
@@ -208,12 +197,8 @@ def run_combined_workflow(
     feature_set: FeatureSet,
     matcher: MLMatcher,
     with_negative_rules: bool = False,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store=None,
-    provenance: "bool | object | None" = None,
-    pool=None,
     *,
+    provenance: "bool | object | None" = None,
     session: EngineSession | None = None,
     plan: PipelineSpec | None = None,
 ) -> CombinedWorkflowOutcome:
@@ -227,8 +212,8 @@ def run_combined_workflow(
     same output names (``matches``, ``original_*``/``extra_*``) and group
     its slice nodes under ``original_slice``/``extra_slice``.
 
-    A resolved session with ``workers >= 2`` fans the blocking probes and
-    feature extraction of both table slices over its process pool; its
+    A resolved session with a worker pool fans the blocking probes and
+    feature extraction of both table slices over the pool; its
     instrumentation collects a stage tree (one subtree per slice)
     renderable via
     :meth:`~repro.runtime.instrument.Instrumentation.report`; its store
@@ -237,16 +222,9 @@ def run_combined_workflow(
     artifact, since those stages' input fingerprints are unchanged.
     ``provenance=True`` (or a session with ``provenance=True``) records
     per-pair match lineage on both slices — each slice gets its own fresh
-    collector (see :meth:`CombinedWorkflowOutcome.explain_pair`); the
-    other kwargs are deprecated shims over the ambient session.
+    collector (see :meth:`CombinedWorkflowOutcome.explain_pair`).
     """
-    resolved = resolve_session(
-        session,
-        workers=workers,
-        instrumentation=instrumentation,
-        store=store,
-        pool=pool,
-    )
+    resolved = resolve_session(session)
     spec = plan if plan is not None else figure10_spec()
     if not with_negative_rules:
         spec = strip_negative_rules(spec)

@@ -31,10 +31,10 @@ functions). That loop is the test oracle in
 against.
 
 ``extract_feature_vectors`` resolves an
-:class:`~repro.runtime.context.EngineSession` (ambient, or built from the
-deprecated ``workers=``/``pool=`` shims) and spreads contiguous
-pair-index chunks over the session's process pool; chunks ship compact
-id arrays, and workers rebuild value-feature functions from their
+:class:`~repro.runtime.context.EngineSession` (explicit, else ambient)
+and spreads contiguous pair-index chunks over the session's process
+pool; chunks ship compact id arrays, and workers rebuild value-feature
+functions from their
 :attr:`~repro.features.feature.Feature.spec` recipes (the closures
 themselves do not pickle). Features without a spec (custom black-box
 features) force the serial path, which is also the fallback whenever the
@@ -55,8 +55,8 @@ from ..ml.impute import MeanImputer
 from ..runtime.cache import TokenCache, lowercase
 from ..runtime.columnar import TokenColumn, gather_column
 from ..runtime.context import EngineSession, resolve_session
-from ..runtime.executor import WorkerPool, chunk_ranges
-from ..runtime.instrument import Instrumentation, count, stage
+from ..runtime.executor import chunk_ranges
+from ..runtime.instrument import count, stage
 from ..similarity import batch
 from ..similarity.sequence import jaro_winkler
 from .feature import NAN, Feature, feature_from_spec
@@ -269,10 +269,6 @@ def extract_feature_vectors(
     candidates: CandidateSet,
     feature_set: FeatureSet,
     pairs: Sequence[Pair] | None = None,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store=None,
-    pool: WorkerPool | None = None,
     *,
     session: EngineSession | None = None,
 ) -> FeatureMatrix:
@@ -280,26 +276,19 @@ def extract_feature_vectors(
 
     Runs as an :class:`~repro.store.stages.ExtractStage` through the
     resolved :class:`~repro.runtime.context.EngineSession`: a session with
-    ``workers >= 2`` (or a shared pool) splits the pair list into
-    contiguous index chunks and evaluates them in a process pool — the
-    result is identical to the serial computation — and a session with a
-    store memoizes the extraction by the content fingerprints of the base
-    tables, the pair list and the feature-set recipes.
-    ``workers``/``instrumentation``/``store``/``pool`` are deprecated
-    shims over the ambient session (``None`` inherits).
+    a worker pool splits the pair list into contiguous index chunks and
+    evaluates them in the pool — the result is identical to the serial
+    computation — and a session with a store memoizes the extraction by
+    the content fingerprints of the base tables, the pair list and the
+    feature-set recipes.
     """
     # Lazy import: the store's codecs build FeatureMatrix objects from
     # this module.
     from ..store.stages import ExtractStage
 
-    resolved = resolve_session(
-        session,
-        workers=workers,
-        instrumentation=instrumentation,
-        store=store,
-        pool=pool,
+    return resolve_session(session).run_stage(
+        ExtractStage(candidates, feature_set, pairs=pairs)
     )
-    return resolved.run_stage(ExtractStage(candidates, feature_set, pairs=pairs))
 
 
 def _extract_impl(
@@ -309,7 +298,6 @@ def _extract_impl(
     session: EngineSession,
 ) -> FeatureMatrix:
     """The extraction body (no store glue — the session already applied it)."""
-    workers = session.workers
     instrumentation = session.instrumentation
     pool = session.worker_pool
     if pairs is None:
@@ -318,7 +306,8 @@ def _extract_impl(
     n, d = len(pairs), len(feature_set)
     features = list(feature_set)
     parallel_ok = (
-        (workers > 1 or (pool is not None and pool.active))
+        pool is not None
+        and pool.active
         and n > 1
         and all(f.spec is not None for f in features)
     )
@@ -331,7 +320,7 @@ def _extract_impl(
         functions = [f.function for f in features]
         if parallel_ok:
             values = _extract_kernel_parallel(
-                columns, token_map, n, d, workers, instrumentation, pool, functions
+                columns, token_map, n, d, functions, session
             )
         else:
             values = _extract_kernel_chunk(n, columns, token_map, functions)
@@ -343,10 +332,8 @@ def _extract_kernel_parallel(
     token_map: dict[int, str],
     n: int,
     d: int,
-    workers: int,
-    instrumentation: Instrumentation | None,
-    pool: WorkerPool | None,
     functions: list[Any],
+    session: EngineSession,
 ) -> np.ndarray:
     """Parallel kernel extraction with the mel columns kept in the parent.
 
@@ -359,22 +346,21 @@ def _extract_kernel_parallel(
     workers run*, then scatters both into the result. Any pool failure
     recomputes the submitted columns inline — identical either way.
     """
-    effective = workers if workers > 1 else (pool.workers if pool else 1)
+    instrumentation = session.instrumentation
+    pool = session.worker_pool
     mel_idx = [j for j, c in enumerate(columns) if c[0] == "mel"]
     rest_idx = [j for j, c in enumerate(columns) if c[0] != "mel"]
     rest_cols = [columns[j] for j in rest_idx]
-    ranges = chunk_ranges(n, effective)
+    ranges = chunk_ranges(
+        n, session.workers if session.workers > 1 else pool.workers
+    )
     submitted = None
-    owner: WorkerPool | None = None
-    target = pool
     if rest_cols and len(ranges) > 1:
-        if target is None:
-            target = owner = WorkerPool(min(effective, len(ranges)))
         payloads = [
             (stop - start, [_slice_column(c, start, stop) for c in rest_cols], {})
             for start, stop in ranges
         ]
-        submitted = target.submit_chunks(_extract_kernel_chunk, payloads)
+        submitted = pool.submit_chunks(_extract_kernel_chunk, payloads)
     values = np.empty((n, d))
     if mel_idx:
         values[:, mel_idx] = _extract_kernel_chunk(
@@ -383,7 +369,7 @@ def _extract_kernel_parallel(
     outcomes = None
     if submitted is not None:
         futures, shipped = submitted
-        outcomes = target.gather(futures)
+        outcomes = pool.gather(futures)
         if outcomes is not None:
             count(instrumentation, "pickled_bytes", shipped)
             count(instrumentation, "pickled_chunks", len(futures))
@@ -391,8 +377,6 @@ def _extract_kernel_parallel(
                 if instrumentation is not None:
                     instrumentation.record_chunk(pid, stop - start, seconds, **extras)
                 values[start:stop, rest_idx] = block
-    if owner is not None:
-        owner.shutdown()
     if rest_cols and outcomes is None:
         count(instrumentation, "parallel_fallbacks")
         values[:, rest_idx] = _extract_kernel_chunk(

@@ -207,10 +207,11 @@ class RunManifest:
             if extra is not None:
                 violations.extend(extra.validate())
             counts["provenance_violations"] = len(violations)
+        session = run.engine_session
         registry = collect_metrics(
-            instrumentation=run.instrumentation,
+            instrumentation=session.instrumentation,
             cache=get_default_cache(),
-            store=run.store,
+            store=session.store,
         )
         monitor = run.monitoring
         return cls(
@@ -220,8 +221,8 @@ class RunManifest:
             config=jsonable(dataclasses.asdict(run.config)),
             counts=counts,
             stages=(
-                stage_timings(run.instrumentation.root)
-                if run.instrumentation is not None
+                stage_timings(session.instrumentation.root)
+                if session.instrumentation is not None
                 else {}
             ),
             metrics=registry.snapshot(),

@@ -16,19 +16,20 @@ Two layers:
   per ``map`` call. Payloads are pickled *in the parent* so the exact
   shipped byte counts are known and surfaced as ``pickled_bytes`` /
   ``pickled_chunks`` counters.
-* :class:`ChunkedExecutor` — the stage-facing mapper. It uses an injected
-  shared pool when given one, spins up a transient pool per call
-  otherwise (the historical behaviour), and always degrades to inline
-  serial execution when the pool cannot be used.
+* :class:`ChunkedExecutor` — the stage-facing mapper. It runs on the pool
+  it is given (the session's pool) and runs inline when it has none or
+  the pool cannot be used.
 
 Guarantees:
 
-* ``workers <= 1`` (the default everywhere) never touches multiprocessing —
-  the chunk functions run inline, preserving pre-existing behaviour.
-* Any pool failure — unpicklable payloads (e.g. a lambda blocking
-  predicate), a broken pool, a missing ``fork`` start method — falls back
-  to inline execution of the same chunk functions. Results are therefore
-  identical whether or not the pool engaged.
+* Without a pool (a serial session) nothing touches multiprocessing —
+  the chunk functions run inline.
+* A pool that cannot run the chunks — unpicklable payloads (e.g. a
+  lambda blocking predicate), a dead worker, a missing ``fork`` start
+  method — falls back to inline execution of the same chunk functions.
+  Results are therefore identical whether or not the pool engaged.
+* An exception raised *by a chunk function* is the chunk's own error: it
+  propagates to the caller unchanged and leaves the pool usable.
 * The ``fork`` start method is used when available so children share the
   parent's interpreter state (including its hash seed, keeping any
   hash-order-dependent iteration identical across workers).
@@ -44,9 +45,9 @@ import os
 import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Sequence
 
 from .instrument import Instrumentation
 
@@ -146,7 +147,8 @@ class WorkerPool:
     :meth:`shutdown`; a run pays worker startup once, not once per stage.
     If the pool ever breaks (a worker dies, the platform cannot fork) the
     pool marks itself broken and every later call returns ``None``, which
-    callers treat as "run the chunks inline instead".
+    callers treat as "run the chunks inline instead". A chunk that raises
+    does not break the pool.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -217,14 +219,21 @@ class WorkerPool:
         """Outcomes of :meth:`submit_chunks` futures, in submission order.
 
         ``None`` marks a broken pool (a worker died mid-chunk); the caller
-        then recomputes the chunks inline.
+        then recomputes the chunks inline. An exception raised by a chunk
+        cancels the chunks not yet started, waits for the running ones,
+        and is re-raised; the pool stays active.
         """
         try:
             return [f.result() for f in futures]
-        except Exception:
+        except BrokenProcessPool:
             self._broken = True
             self.shutdown()
             return None
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            wait(futures)
+            raise
 
     def run_chunks(
         self, fn: Callable, payloads: Sequence[tuple]
@@ -261,37 +270,11 @@ class WorkerPool:
         self.shutdown()
 
 
-@contextmanager
-def ensure_pool(workers: int, pool: WorkerPool | None = None) -> Iterator[WorkerPool | None]:
-    """Yield a shared pool for a run, owning its lifetime only if created here.
-
-    * *pool* given: yield it untouched (the caller who created it shuts it
-      down);
-    * ``workers > 1``: create a :class:`WorkerPool`, yield it, and shut it
-      down when the block exits;
-    * otherwise: yield ``None`` (strictly serial runs never build a pool).
-    """
-    if pool is not None:
-        yield pool
-        return
-    if workers > 1:
-        created = WorkerPool(workers)
-        try:
-            yield created
-        finally:
-            created.shutdown()
-        return
-    yield None
-
-
 class ChunkedExecutor:
-    """Maps a chunk function over payloads, in parallel when asked to.
+    """Maps a chunk function over payloads, on a pool when it has one.
 
     Parameters
     ----------
-    workers:
-        Target process count; ``<= 1`` means strictly serial (no pool, no
-        fallback machinery — the chunk functions run inline).
     instrumentation:
         Optional :class:`~repro.runtime.instrument.Instrumentation`; when
         given, per-chunk durations and worker ids are recorded into the
@@ -299,27 +282,23 @@ class ChunkedExecutor:
         for shipped payloads and ``parallel_fallbacks`` counts when the
         pool could not be used.
     pool:
-        Optional shared :class:`WorkerPool`. When given it overrides
-        *workers* and is reused across calls (and across executors);
-        without one, each parallel ``map`` spins up a transient pool —
-        the historical per-call behaviour.
+        Optional shared :class:`WorkerPool`, reused across calls (and
+        across executors); the caller owns its lifetime. Without one,
+        every ``map`` runs inline.
     """
 
     def __init__(
         self,
-        workers: int = 1,
         instrumentation: Instrumentation | None = None,
         pool: WorkerPool | None = None,
     ) -> None:
         self.pool = pool
-        self.workers = pool.workers if pool is not None else max(1, int(workers))
+        self.workers = pool.workers if pool is not None else 1
         self.instrumentation = instrumentation
 
     @property
     def parallel(self) -> bool:
-        if self.pool is not None:
-            return self.pool.active
-        return self.workers > 1
+        return self.pool is not None and self.pool.active
 
     def map(
         self,
@@ -337,7 +316,7 @@ class ChunkedExecutor:
             sizes = [1] * len(payloads)
         if not self.parallel or len(payloads) <= 1:
             return self._run_serial(fn, payloads, sizes)
-        outcome = self._run_pool(fn, payloads)
+        outcome = self.pool.run_chunks(fn, payloads)
         if outcome is None:
             if self.instrumentation is not None:
                 self.instrumentation.count("parallel_fallbacks")
@@ -361,10 +340,3 @@ class ChunkedExecutor:
                 self.instrumentation.record_chunk(pid, size, seconds, **extras)
             results.append(result)
         return results
-
-    def _run_pool(self, fn: Callable, payloads: list[tuple]):
-        """Chunk outcomes + shipped bytes in submission order, or ``None``."""
-        if self.pool is not None:
-            return self.pool.run_chunks(fn, payloads)
-        with WorkerPool(min(self.workers, len(payloads))) as transient:
-            return transient.run_chunks(fn, payloads)

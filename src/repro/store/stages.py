@@ -87,23 +87,7 @@ class BlockStage(StageOperator):
         return {"ltable": self.ltable, "rtable": self.rtable, "name": self.name}
 
     def compute(self, session) -> Any:
-        from ..blocking.base import Blocker
-
-        blocker = self.blocker
-        if (
-            type(blocker)._compute_blocking is Blocker._compute_blocking
-            and type(blocker).block_tables is not Blocker.block_tables
-        ):
-            # Third-party blocker predating the session protocol: its own
-            # ``block_tables`` override *is* the compute. Call it with the
-            # legacy kwargs (no store — memoization already happened here).
-            return blocker.block_tables(
-                self.ltable, self.rtable, self.l_key, self.r_key, self.name,
-                workers=session.workers,
-                instrumentation=session.instrumentation,
-                pool=session.worker_pool,
-            )
-        return blocker._compute_blocking(
+        return self.blocker._compute_blocking(
             session, self.ltable, self.rtable, self.l_key, self.r_key, self.name
         )
 

@@ -20,11 +20,11 @@ from repro.blocking import (
 from repro.features import extract_feature_vectors, generate_features
 from repro.runtime import (
     ChunkedExecutor,
+    EngineSession,
     Instrumentation,
     TokenCache,
     WorkerPool,
     chunk_ranges,
-    ensure_pool,
 )
 from repro.table import Table
 from repro.text import normalize_title, whitespace
@@ -40,6 +40,13 @@ needs_workers = pytest.mark.skipif(
 def _square_chunk(values):
     """Module-level chunk function (picklable for the pool tests)."""
     return [v * v for v in values]
+
+
+def _raising_chunk(values):
+    """A chunk function that fails on a negative value (a bad record)."""
+    if any(v < 0 for v in values):
+        raise ValueError("bad record")
+    return values
 
 
 class TestChunkRanges:
@@ -71,14 +78,16 @@ class TestChunkedExecutor:
         return [(list(range(i, i + 3)),) for i in range(0, 12, 3)]
 
     def test_serial_map(self):
-        executor = ChunkedExecutor(workers=1)
+        executor = ChunkedExecutor()
+        assert not executor.parallel
         results = executor.map(_square_chunk, self.payloads())
         assert results == [[i * i for i in range(s, s + 3)] for s in (0, 3, 6, 9)]
 
     @needs_workers
     def test_parallel_map_matches_serial(self):
-        serial = ChunkedExecutor(workers=1).map(_square_chunk, self.payloads())
-        parallel = ChunkedExecutor(workers=2).map(_square_chunk, self.payloads())
+        serial = ChunkedExecutor().map(_square_chunk, self.payloads())
+        with WorkerPool(workers=2) as pool:
+            parallel = ChunkedExecutor(pool=pool).map(_square_chunk, self.payloads())
         assert parallel == serial
 
     @needs_workers
@@ -86,15 +95,16 @@ class TestChunkedExecutor:
         # lambdas cannot be pickled: the pool fails and the executor must
         # recompute serially, still returning the right answer.
         instr = Instrumentation()
-        executor = ChunkedExecutor(workers=2, instrumentation=instr)
-        fn = lambda values: [v + 1 for v in values]  # noqa: E731
-        results = executor.map(fn, [([1, 2],), ([3],)])
+        with WorkerPool(workers=2) as pool:
+            executor = ChunkedExecutor(instrumentation=instr, pool=pool)
+            fn = lambda values: [v + 1 for v in values]  # noqa: E731
+            results = executor.map(fn, [([1, 2],), ([3],)])
         assert results == [[2, 3], [4]]
         assert instr.root.counters.get("parallel_fallbacks") == 1
 
     def test_chunk_records_instrumented(self):
         instr = Instrumentation()
-        executor = ChunkedExecutor(workers=1, instrumentation=instr)
+        executor = ChunkedExecutor(instrumentation=instr)
         with instr.stage("work"):
             executor.map(_square_chunk, self.payloads(), sizes=[3, 3, 3, 3])
         work = instr.find("work")
@@ -216,7 +226,8 @@ class TestParallelEquivalence:
         )
         args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
         serial = blocker.block_tables(*args)
-        parallel = blocker.block_tables(*args, workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = blocker.block_tables(*args, session=session)
         assert parallel.pairs == serial.pairs  # same pairs, same order
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -226,7 +237,8 @@ class TestParallelEquivalence:
         )
         args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
         serial = blocker.block_tables(*args)
-        parallel = blocker.block_tables(*args, workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = blocker.block_tables(*args, session=session)
         assert parallel.pairs == serial.pairs
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -234,7 +246,8 @@ class TestParallelEquivalence:
         left, right = _rule_tables()
         blocker = RuleBasedBlocker(_num_equal_predicate, index_attrs=("num", "num"))
         serial = blocker.block_tables(left, right, "id", "id")
-        parallel = blocker.block_tables(left, right, "id", "id", workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = blocker.block_tables(left, right, "id", "id", session=session)
         assert serial.pairs  # the synthetic tables must actually join
         assert parallel.pairs == serial.pairs
 
@@ -244,7 +257,8 @@ class TestParallelEquivalence:
         blocker = RuleBasedBlocker(predicate, index_attrs=("num", "num"))
         serial = blocker.block_tables(left, right, "id", "id")
         instr = Instrumentation()
-        parallel = blocker.block_tables(left, right, "id", "id", workers=2, instrumentation=instr)
+        with EngineSession(workers=2, instrumentation=instr) as session:
+            parallel = blocker.block_tables(left, right, "id", "id", session=session)
         assert serial.pairs
         assert parallel.pairs == serial.pairs
         # the unpicklable predicate must have forced the serial fallback
@@ -263,7 +277,8 @@ class TestParallelEquivalence:
             tables.umetrics, tables.usda, exclude_attrs=[tables.l_key]
         )
         serial = extract_feature_vectors(candidates, fs)
-        parallel = extract_feature_vectors(candidates, fs, workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = extract_feature_vectors(candidates, fs, session=session)
         assert parallel.pairs == serial.pairs
         assert parallel.feature_names == serial.feature_names
         assert np.array_equal(parallel.values, serial.values, equal_nan=True)
@@ -273,21 +288,23 @@ class TestParallelEquivalence:
             tables.umetrics, tables.usda, ["AwardTitle"], b_size=50, a_size=60,
             rng=np.random.default_rng(11),
         )
-        parallel = down_sample(
-            tables.umetrics, tables.usda, ["AwardTitle"], b_size=50, a_size=60,
-            rng=np.random.default_rng(11), workers=2,
-        )
+        with EngineSession(workers=2) as session:
+            parallel = down_sample(
+                tables.umetrics, tables.usda, ["AwardTitle"], b_size=50, a_size=60,
+                rng=np.random.default_rng(11), session=session,
+            )
         for s_table, p_table in zip(serial, parallel):
             assert p_table[tables.l_key] == s_table[tables.l_key]
 
     def test_instrumented_parallel_blocking_reports_chunks(self, tables):
         instr = Instrumentation()
-        OverlapBlocker(
-            "AwardTitle", "AwardTitle", threshold=3, normalizer=normalize_title
-        ).block_tables(
-            tables.umetrics, tables.usda, tables.l_key, tables.r_key,
-            workers=2, instrumentation=instr,
-        )
+        with EngineSession(workers=2, instrumentation=instr) as session:
+            OverlapBlocker(
+                "AwardTitle", "AwardTitle", threshold=3, normalizer=normalize_title
+            ).block_tables(
+                tables.umetrics, tables.usda, tables.l_key, tables.r_key,
+                session=session,
+            )
         probe = instr.find("probe")
         assert probe is not None and probe.chunks
         text = str(instr.report())
@@ -351,20 +368,16 @@ class TestWorkerPool:
         assert not executor.parallel
         assert executor.map(_square_chunk, [([2],), ([3],)]) == [[4], [9]]
 
-    def test_ensure_pool_respects_ownership(self):
-        # injected pool: yielded untouched, not shut down on exit
-        mine = WorkerPool(workers=2)
-        with ensure_pool(4, pool=mine) as pool:
-            assert pool is mine
-        assert mine.active
-        mine.shutdown()
-        # serial: no pool at all
-        with ensure_pool(1) as pool:
-            assert pool is None
-        # workers > 1: created here, owned here
-        with ensure_pool(2) as pool:
-            assert isinstance(pool, WorkerPool) and pool.active
-        assert pool._executor is None  # shut down on exit
+    @needs_workers
+    @pytest.mark.parallel
+    def test_raising_chunk_reraises_and_keeps_pool(self):
+        with WorkerPool(workers=2) as pool:
+            with pytest.raises(ValueError, match="bad record"):
+                pool.run_chunks(_raising_chunk, [([1],), ([-1],), ([2],)])
+            assert pool.active
+            outcome = pool.run_chunks(_square_chunk, [([1, 2],), ([3],)])
+        assert outcome is not None
+        assert [r for r, *_ in outcome[0]] == [[1, 4], [9]]
 
 
 class TestCaseStudyPoolLifecycle:
@@ -379,16 +392,18 @@ class TestCaseStudyPoolLifecycle:
         from repro.casestudy import CaseStudyRun
 
         pool = WorkerPool(workers=2)
-        run = CaseStudyRun(pool=pool)
+        session = EngineSession(pool=pool)
+        run = CaseStudyRun(session=session)
         assert run.worker_pool is pool
         run.close()  # must not shut down a pool it does not own
+        session.close()
         assert pool.active
         pool.shutdown()
 
     def test_owned_pool_created_lazily_and_closed(self):
         from repro.casestudy import CaseStudyRun
 
-        with CaseStudyRun(workers=2) as run:
+        with EngineSession(workers=2) as session, CaseStudyRun(session=session) as run:
             pool = run.worker_pool
             assert isinstance(pool, WorkerPool)
             assert run.worker_pool is pool  # one pool per run

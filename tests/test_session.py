@@ -1,7 +1,8 @@
-"""EngineSession lifecycle, scoping and legacy-parity tests."""
+"""EngineSession lifecycle, scoping, resolution and parity tests."""
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import threading
 
@@ -113,19 +114,62 @@ def test_fork_children_never_see_the_parent_pool():
     assert all(hidden for _, hidden in results)
 
 
-def test_resolve_session_inherits_and_derives():
+def test_resolve_session_explicit_then_ambient_then_default():
+    explicit = EngineSession(workers=1)
     with EngineSession(workers=2, provenance=True) as ambient:
+        assert resolve_session(explicit) is explicit  # explicit wins
         assert resolve_session(None) is ambient
-        derived = resolve_session(None, workers=3)
-        assert derived is not ambient
-        assert derived.workers == 3
-        assert derived.provenance is True  # un-overridden fields inherit
-        assert derived.worker_pool is ambient.worker_pool  # shared, not owned
-    # Without an ambient session, legacy kwargs build a transient session
-    # that never opens a persistent pool of its own.
-    transient = resolve_session(None, workers=4)
-    assert transient.workers == 4
-    assert transient.worker_pool is None
+        assert resolve_session() is ambient
+    # Without either, a default serial session: no pool, store or trace.
+    default = resolve_session(None)
+    assert default is not ambient and default is not explicit
+    assert default.workers == 1
+    assert default.worker_pool is None
+    assert default.store is None and default.instrumentation is None
+    assert list(inspect.signature(resolve_session).parameters) == ["session"]
+
+
+def _entry_points():
+    from repro.blocking import Blocker, down_sample
+    from repro.casestudy import run_matching
+    from repro.core.workflow import EMWorkflow
+    from repro.features import extract_feature_vectors
+
+    return [
+        Blocker.block_tables,
+        extract_feature_vectors,
+        down_sample,
+        EMWorkflow.build_candidates,
+        EMWorkflow.run,
+        train_workflow_matcher,
+        run_combined_workflow,
+        run_matching,
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry", _entry_points(), ids=lambda fn: fn.__qualname__
+)
+def test_entry_points_take_only_a_session(entry):
+    params = inspect.signature(entry).parameters
+    assert not {"workers", "instrumentation", "store", "pool"} & set(params)
+    assert params["session"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def _square_chunk(values):
+    return [v * v for v in values]
+
+
+def test_closed_session_maps_chunks_serially():
+    payloads = [([1, 2],), ([3],), ([4, 5],)]
+    with EngineSession(workers=2) as session:
+        assert session.worker_pool is not None
+        parallel = session.map_chunks(_square_chunk, payloads)
+    # closed: no pool (and no per-call pool either) — the same chunks
+    # run inline with identical results
+    assert session.worker_pool is None
+    assert not session.executor().parallel
+    assert session.map_chunks(_square_chunk, payloads) == parallel
 
 
 def test_run_stage_counters_and_uncacheable_bypass(tmp_path):
@@ -156,8 +200,8 @@ def test_run_stage_counters_and_uncacheable_bypass(tmp_path):
 
 
 def test_session_figure10_parity_with_legacy_kwargs(case_study):
-    """The Figure-10 run driven by one ambient EngineSession must be
-    bit-identical to the legacy per-kwarg path (the `case_study` fixture)."""
+    """The Figure-10 run driven by one ambient 2-worker EngineSession must
+    be bit-identical to the serial run (the `case_study` fixture)."""
     legacy = case_study.final_workflow
     blocking, labeling, matching = (
         case_study.blocking_v2, case_study.labeling, case_study.matching,
@@ -178,3 +222,27 @@ def test_session_figure10_parity_with_legacy_kwargs(case_study):
         assert ours.predicted_matches == theirs.predicted_matches
         assert ours.flipped == theirs.flipped
         assert set(ours.sure_matches.pairs) == set(theirs.sure_matches.pairs)
+
+
+def _session_lint():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "lint_session_plumbing.py"
+    spec = importlib.util.spec_from_file_location("lint_session_plumbing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_session_lint_flags_a_workers_parameter(tmp_path):
+    lint = _session_lint()
+    module = tmp_path / "stage.py"
+    module.write_text("def f(*, workers=None):\n    return workers\n")
+    problems = lint.lint_file(module, "repro/stage.py")
+    assert len(problems) == 1 and "workers=" in problems[0]
+
+
+def test_session_lint_is_clean_on_src(capsys):
+    assert _session_lint().main([]) == 0
+    assert "clean" in capsys.readouterr().out

@@ -1,18 +1,19 @@
 #!/usr/bin/env python
 """Fail CI when new code re-grows per-call session plumbing.
 
-The EngineSession refactor collapsed the ``workers=`` /
-``instrumentation=`` keyword threading into one ambient session plus a
-frozen shim layer (the modules listed in ``SHIM_MODULES``). This lint
-walks every other module under ``src/repro`` with ``ast`` and fails when
-it finds
+Execution context is one :class:`repro.runtime.context.EngineSession`:
+pipeline entry points take ``session=`` and nothing else. This lint
+walks every module under ``src/repro`` except the runtime and telemetry
+modules in ``ALLOWED_MODULES`` — the ones that build sessions and pools
+or take an instrumentation handle as their *subject* — with ``ast`` and
+fails when it finds
 
 * a function/method *definition* declaring a ``workers`` or
   ``instrumentation`` parameter, or
 * a *call* passing ``workers=`` / ``instrumentation=`` to anything other
   than the session/runtime constructors that legitimately take them
-  (``EngineSession``, ``resolve_session``, ``derive``, ``WorkerPool``,
-  ``ChunkedExecutor``, ``Instrumentation``, ...).
+  (``EngineSession``, ``WorkerPool``, ``ChunkedExecutor``,
+  ``Instrumentation``, ...).
 
 The pipeline-plan refactor likewise collapsed the three hand-wired
 copies of the Figure-10 recipe into one spec
@@ -24,8 +25,7 @@ benchmarks and examples — must derive the recipe from the plan
 (``figure10_spec`` / ``recipe_from_spec`` / ``figure10_workflow``).
 
 New code should accept/resolve an ``EngineSession`` instead (or rely on
-the ambient one); only the deprecated shim layer may keep the old
-keywords. Run locally with ``python tools/lint_session_plumbing.py``.
+the ambient one). Run locally with ``python tools/lint_session_plumbing.py``.
 """
 
 from __future__ import annotations
@@ -37,24 +37,15 @@ from pathlib import Path
 
 BANNED_KEYWORDS = {"workers", "instrumentation"}
 
-#: The frozen deprecated-shim layer: the only modules allowed to declare
-#: or thread the legacy keywords. Do not add entries — route new code
-#: through EngineSession instead.
-SHIM_MODULES = {
+#: The only modules allowed to declare or pass the keywords: the session
+#: and its runtime primitives, plus the obs collectors and the store,
+#: which take an instrumentation handle as their *subject* (events are
+#: recorded onto it), not as threaded plumbing. Do not add entries —
+#: route new code through EngineSession instead.
+ALLOWED_MODULES = {
     "repro/runtime/context.py",
     "repro/runtime/executor.py",
     "repro/runtime/instrument.py",
-    "repro/blocking/base.py",
-    "repro/blocking/down_sample.py",
-    "repro/features/vectors.py",
-    "repro/core/workflow.py",
-    "repro/store/stages.py",
-    "repro/casestudy/__init__.py",
-    "repro/casestudy/matching.py",
-    "repro/casestudy/workflows.py",
-    # obs collectors and the store take an instrumentation handle as
-    # their *subject* (events are recorded onto it), not as threaded
-    # plumbing
     "repro/obs/trace.py",
     "repro/obs/metrics.py",
     "repro/obs/manifest.py",
@@ -62,12 +53,10 @@ SHIM_MODULES = {
 }
 
 #: Callees that legitimately accept the keywords everywhere: session
-#: and runtime-primitive constructors, the session shim resolver, and
-#: the metrics collector (which *consumes* an instrumentation handle).
+#: and runtime-primitive constructors, and the metrics collector (which
+#: *consumes* an instrumentation handle).
 ALLOWED_CALLEES = {
     "EngineSession",
-    "resolve_session",
-    "derive",
     "WorkerPool",
     "ChunkedExecutor",
     "Instrumentation",
@@ -92,7 +81,7 @@ RECIPE_ALLOWED = {
 def _callee_name(node: ast.Call) -> str:
     func = node.func
     if isinstance(func, ast.Attribute):
-        return func.attr  # session.derive(...), obs.collect_metrics(...)
+        return func.attr  # obs.collect_metrics(...)
     if isinstance(func, ast.Name):
         return func.id
     return ""
@@ -135,7 +124,8 @@ def lint_file(path: Path, rel: str) -> list[str]:
             for name in declared:
                 problems.append(
                     f"{rel}:{node.lineno}: def {node.name}(... {name}= ...) "
-                    f"declares legacy session plumbing outside the shim layer"
+                    f"declares per-call session plumbing — take session= "
+                    f"instead"
                 )
         elif isinstance(node, ast.Call):
             callee = _callee_name(node)
@@ -164,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         problems.extend(lint_recipe_calls(path, rel))
-        if rel in SHIM_MODULES or rel == "repro/__main__.py":
+        if rel in ALLOWED_MODULES:
             continue
         problems.extend(lint_file(path, rel))
     # the recipe freeze also covers benchmarks and examples — the very
@@ -181,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         print(problem)
     if problems:
         print(
-            f"\n{len(problems)} legacy-plumbing violation(s); the allowed "
-            f"shim layer is frozen in tools/lint_session_plumbing.py"
+            f"\n{len(problems)} session-plumbing violation(s); the allowed "
+            f"modules are frozen in tools/lint_session_plumbing.py"
         )
         return 1
     print("session-plumbing lint: clean")
