@@ -28,6 +28,8 @@ class CandidateSet:
     pairs:
         Iterable of (left-id, right-id); duplicates are dropped, first-seen
         order is preserved (so sampling is deterministic given a seed).
+        The id -> row maps come from :meth:`Table.key_index`, so both key
+        columns must be keys.
     name:
         Optional label, e.g. ``"C2"``.
     """
@@ -46,8 +48,8 @@ class CandidateSet:
         self.l_key = l_key
         self.r_key = r_key
         self.name = name
-        self._l_index = {v: i for i, v in enumerate(ltable[l_key])}
-        self._r_index = {v: i for i, v in enumerate(rtable[r_key])}
+        self._l_index = ltable.key_index(l_key)
+        self._r_index = rtable.key_index(r_key)
         self._pairs: list[Pair] = []
         self._seen: set[Pair] = set()
         for pair in pairs:

@@ -113,7 +113,7 @@ class DownSampleStage(StageOperator):
             a_row_tokens = _table_row_tokens(table_a, attrs, cache)
 
         with stage(instrumentation, "score"):
-            ranges = chunk_ranges(len(a_row_tokens), session.workers)
+            ranges = chunk_ranges(len(a_row_tokens), session.pool_width)
             chunks = session.map_chunks(
                 _shared_count_chunk,
                 [(a_row_tokens[start:stop], b_tokens) for start, stop in ranges],

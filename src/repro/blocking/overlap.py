@@ -232,7 +232,7 @@ class OverlapBlocker(Blocker):
             l_col = TokenColumn.from_entries(kept_entries)
             rids = tuple(r_entries.keys())
             r_col = TokenColumn.from_entries(r_entries.values())
-            ranges = chunk_ranges(len(lids), session.workers)
+            ranges = chunk_ranges(len(lids), session.pool_width)
             chunks = session.map_chunks(
                 _probe_overlap_ids_chunk,
                 [

@@ -194,7 +194,7 @@ class OverlapCoefficientBlocker(Blocker):
             l_col = TokenColumn.from_entries(l_entries.values())
             rids = tuple(r_entries.keys())
             r_col = TokenColumn.from_entries(r_entries.values())
-            ranges = chunk_ranges(len(lids), session.workers)
+            ranges = chunk_ranges(len(lids), session.pool_width)
             chunks = session.map_chunks(
                 _probe_coefficient_ids_chunk,
                 [

@@ -115,7 +115,7 @@ class SortedNeighborhoodBlocker(Blocker):
         # chunk ships its owned slice plus w-1 look-ahead entries, and
         # in-order concatenation equals the serial loop bit for bit.
         w = self.window
-        ranges = chunk_ranges(len(merged), session.workers)
+        ranges = chunk_ranges(len(merged), session.pool_width)
         chunks = session.map_chunks(
             _window_chunk,
             [

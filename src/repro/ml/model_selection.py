@@ -170,7 +170,7 @@ def leave_one_out_predictions(
     if n < 2:
         raise MatcherError("leave-one-out needs at least 2 rows")
     resolved = resolve_session(session)
-    ranges = chunk_ranges(n, resolved.workers)
+    ranges = chunk_ranges(n, resolved.pool_width)
     chunks = resolved.map_chunks(
         _loo_chunk,
         [(model, X, y, start, stop) for start, stop in ranges],

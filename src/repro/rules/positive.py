@@ -8,7 +8,9 @@ The match definition supplies rules that *guarantee* a match:
   ``Project Number`` (discovered mid-project, Section 10).
 
 Both are exact-equality rules after extracting the suffix, so they can be
-evaluated over full tables with an index rather than over A x B.
+evaluated over full tables with an index rather than over A x B. The
+right-side index is built once per right table and reused by every batch
+run and every per-record probe (:meth:`ExactNumberRule.index`).
 """
 
 from __future__ import annotations
@@ -64,14 +66,21 @@ class ExactNumberRule:
             return False
         return left == right
 
-    def pairs(
-        self, ltable: Table, rtable: Table, l_key: str, r_key: str, name: str = ""
-    ) -> CandidateSet:
-        """All pairs of A x B firing this rule, computed via an index."""
-        if self.l_attr not in ltable:
-            raise RuleError(f"rule {self.name!r}: no column {self.l_attr!r} in left table")
+    def index(self, rtable: Table, r_key: str) -> dict[Any, list[Any]]:
+        """``{extracted right value: right ids}``, in right-row order.
+
+        Memoized on *rtable* (:meth:`~repro.table.table.Table.derived`)
+        under the rule's right-side recipe, so every batch and per-record
+        probe against an unchanged right table shares one index.
+        """
         if self.r_attr not in rtable:
             raise RuleError(f"rule {self.name!r}: no column {self.r_attr!r} in right table")
+        return rtable.derived(
+            ("exact_rule_index", self.r_attr, self.r_extract, r_key),
+            lambda: self._build_index(rtable, r_key),
+        )
+
+    def _build_index(self, rtable: Table, r_key: str) -> dict[Any, list[Any]]:
         index: dict[Any, list[Any]] = {}
         for rid, value in zip(rtable[r_key], rtable[self.r_attr]):
             if is_missing(value):
@@ -79,6 +88,15 @@ class ExactNumberRule:
             extracted = self.r_extract(value)
             if extracted is not None:
                 index.setdefault(extracted, []).append(rid)
+        return index
+
+    def pairs(
+        self, ltable: Table, rtable: Table, l_key: str, r_key: str, name: str = ""
+    ) -> CandidateSet:
+        """All pairs of A x B firing this rule: left rows probe :meth:`index`."""
+        if self.l_attr not in ltable:
+            raise RuleError(f"rule {self.name!r}: no column {self.l_attr!r} in left table")
+        index = self.index(rtable, r_key)
         pairs: list[Pair] = []
         for lid, value in zip(ltable[l_key], ltable[self.l_attr]):
             if is_missing(value):

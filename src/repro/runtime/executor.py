@@ -49,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
-from .instrument import Instrumentation
+from .instrument import Instrumentation, count
 
 #: Chunks per worker: >1 so a skewed chunk doesn't idle the other workers.
 CHUNKS_PER_WORKER = 4
@@ -279,8 +279,9 @@ class ChunkedExecutor:
         Optional :class:`~repro.runtime.instrument.Instrumentation`; when
         given, per-chunk durations and worker ids are recorded into the
         currently open stage, plus ``pickled_bytes``/``pickled_chunks``
-        for shipped payloads and ``parallel_fallbacks`` counts when the
-        pool could not be used.
+        for shipped payloads and ``parallel_fallbacks`` counts whenever a
+        multi-worker pool could not be used: an unpicklable payload, a
+        pool that broke during the call, or one already broken before it.
     pool:
         Optional shared :class:`WorkerPool`, reused across calls (and
         across executors); the caller owns its lifetime. Without one,
@@ -293,12 +294,21 @@ class ChunkedExecutor:
         pool: WorkerPool | None = None,
     ) -> None:
         self.pool = pool
-        self.workers = pool.workers if pool is not None else 1
         self.instrumentation = instrumentation
 
     @property
     def parallel(self) -> bool:
         return self.pool is not None and self.pool.active
+
+    @property
+    def workers(self) -> int:
+        """Chunk-count basis: the pool's width while it can run, else 1."""
+        return self.pool.workers if self.parallel else 1
+
+    @property
+    def degraded(self) -> bool:
+        """A multi-worker pool is present but can no longer run chunks."""
+        return self.pool is not None and self.pool.workers > 1 and not self.pool.active
 
     def map(
         self,
@@ -314,12 +324,13 @@ class ChunkedExecutor:
         payloads = list(payloads)
         if sizes is None:
             sizes = [1] * len(payloads)
+        if self.degraded:
+            count(self.instrumentation, "parallel_fallbacks")
         if not self.parallel or len(payloads) <= 1:
             return self._run_serial(fn, payloads, sizes)
         outcome = self.pool.run_chunks(fn, payloads)
         if outcome is None:
-            if self.instrumentation is not None:
-                self.instrumentation.count("parallel_fallbacks")
+            count(self.instrumentation, "parallel_fallbacks")
             return self._run_serial(fn, payloads, sizes)
         outcomes, shipped = outcome
         if self.instrumentation is not None:

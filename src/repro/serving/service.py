@@ -128,7 +128,10 @@ class MatchService:
         later patch uses (``apply_patch(upserts=ltable)``), so the
         service starts bit-equal to a batch workflow run over *ltable*.
     rtable:
-        The fixed right table the posting indexes are built over.
+        The fixed right table the posting indexes are built over. Its key
+        index and the positive rules' right-side indexes live on the
+        table (:meth:`~repro.table.table.Table.derived`), so requests
+        reuse them instead of rebuilding them.
     matcher:
         A *trained* :class:`~repro.matchers.ml_matcher.MLMatcher`.
     feature_set, blockers, positive_rules, negative_rules:
@@ -187,9 +190,6 @@ class MatchService:
             blocker.incremental(rtable, l_key, r_key, session=self._session)
             for blocker in blockers
         ]
-        self._r_row_index = {
-            value: indices[0] for value, indices in rtable.value_index(r_key).items()
-        }
         # Live per-record state, all keyed by left id in insertion order.
         self._rows: dict[Any, dict[str, Any]] = {}
         self._sure: dict[Any, tuple[Pair, ...]] = {}
@@ -473,7 +473,7 @@ class MatchService:
             predicted = set(self.matcher.predict_matches(matrix))
         flipped_by: dict[Pair, str] = {}
         if self.negative_rules and to_score:
-            r_index = self._r_row_index
+            r_index = self.rtable.key_index(self.r_key)
             for pair in to_score:
                 if pair not in predicted:
                     continue

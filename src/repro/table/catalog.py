@@ -25,18 +25,12 @@ def is_key(table: Table, column: str) -> bool:
 
 
 def validate_key(table: Table, column: str) -> None:
-    """Raise :class:`KeyConstraintError` when *column* is not a key."""
-    values = table[column]
-    n_missing = sum(1 for v in values if is_missing(v))
-    if n_missing:
-        raise KeyConstraintError(
-            f"{table.name}.{column} has {n_missing} missing values; not a key"
-        )
-    n_dupes = len(values) - len(set(values))
-    if n_dupes:
-        raise KeyConstraintError(
-            f"{table.name}.{column} has {n_dupes} duplicate values; not a key"
-        )
+    """Raise :class:`KeyConstraintError` when *column* is not a key.
+
+    The check is :meth:`Table.key_index`, so a table validates each key
+    column once until it is edited in place.
+    """
+    table.key_index(column)
 
 
 def foreign_key_violations(

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import SchemaError, TableError
+from ..errors import KeyConstraintError, SchemaError, TableError
 from .column import is_missing
 
 Row = dict[str, Any]
@@ -29,6 +29,11 @@ class Table:
     Mutating methods return new tables; the only in-place operations are
     :meth:`add_column` and :meth:`drop_columns`, which are explicit about it
     in their docstrings.
+
+    State derived from the columns (the validated :meth:`key_index`, the
+    positive rules' right-side indexes) is memoized on the table through
+    :meth:`derived`, so it lives exactly as long as the columns it was
+    built from: both in-place mutators clear it, and pickles leave it out.
 
     Parameters
     ----------
@@ -53,6 +58,14 @@ class Table:
             self._columns[str(col_name)] = values
         self._length = length or 0
         self.name = name
+        self._derived: dict[Any, Any] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -226,6 +239,7 @@ class Table:
         if not self._columns:
             self._length = len(values)
         self._columns[name] = values
+        self._derived.clear()
 
     def drop_columns(self, names: Sequence[str]) -> None:
         """Remove columns **in place**."""
@@ -234,6 +248,7 @@ class Table:
             raise SchemaError(f"cannot drop unknown columns {missing}")
         for c in names:
             del self._columns[c]
+        self._derived.clear()
 
     def with_column(self, name: str, values: Sequence[Any]) -> "Table":
         """Return a copy of the table with an added (or replaced) column."""
@@ -261,6 +276,41 @@ class Table:
         if self.columns != other.columns or self.num_rows != other.num_rows:
             return False
         return all(self._columns[c] == other._columns[c] for c in self._columns)
+
+    def derived(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, memoized under *key* until the next in-place edit.
+
+        For state that is a pure function of the table's columns and is
+        read far more often than the table changes.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
+    def key_index(self, column: str) -> dict[Any, int]:
+        """Map each value of key *column* to its row position (memoized).
+
+        Raises :class:`~repro.errors.KeyConstraintError` when *column* has
+        missing or duplicate values. The dict is shared; don't mutate it.
+        """
+        return self.derived(("key_index", column), lambda: self._key_index(column))
+
+    def _key_index(self, column: str) -> dict[Any, int]:
+        values = self[column]
+        n_missing = sum(1 for v in values if is_missing(v))
+        if n_missing:
+            raise KeyConstraintError(
+                f"{self.name}.{column} has {n_missing} missing values; not a key"
+            )
+        index = {v: i for i, v in enumerate(values)}
+        n_dupes = len(values) - len(index)
+        if n_dupes:
+            raise KeyConstraintError(
+                f"{self.name}.{column} has {n_dupes} duplicate values; not a key"
+            )
+        return index
 
     def value_index(self, column: str) -> dict[Any, list[int]]:
         """Map each non-missing value of *column* to the row indices holding it."""

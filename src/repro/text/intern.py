@@ -108,6 +108,10 @@ class Vocabulary:
         """The id of *token*, or ``None`` when it was never interned."""
         return self._ids.get(token)
 
+    def __getitem__(self, tid: int) -> str:
+        """``vocab[tid]``: the token of id *tid* (as :meth:`token_of`)."""
+        return self._tokens[tid]
+
     def token_of(self, tid: int) -> str:
         """The token a dense id stands for."""
         return self._tokens[tid]

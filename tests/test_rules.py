@@ -80,6 +80,19 @@ class TestPositiveRules:
         )
         assert set(combined.pairs) == {("u1", 100), ("u2", 200)}
 
+    def test_right_index_is_shared_until_the_rule_column_changes(self):
+        left, right = projected_tables()
+        rule = m1_rule()
+        index = rule.index(right, "RecordId")
+        assert m1_rule().index(right, "RecordId") is index  # same recipe
+        assert rule.pairs(left, right, "RecordId", "RecordId").pairs == [("u1", 100)]
+        # move u1's award number from record 100 to record 300, in place
+        values = right["AwardNumber"]
+        right.drop_columns(["AwardNumber"])
+        right.add_column("AwardNumber", list(reversed(values)))
+        assert rule.index(right, "RecordId") is not index
+        assert rule.pairs(left, right, "RecordId", "RecordId").pairs == [("u1", 300)]
+
     def test_sure_matches_needs_rules(self):
         left, right = projected_tables()
         with pytest.raises(RuleError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.blocking import (
+    CandidateSet,
     OverlapBlocker,
     OverlapCoefficientBlocker,
     RuleBasedBlocker,
@@ -296,6 +297,23 @@ class TestParallelEquivalence:
         for s_table, p_table in zip(serial, parallel):
             assert p_table[tables.l_key] == s_table[tables.l_key]
 
+    def test_injected_pool_is_split_for_like_an_owned_one(self, tables):
+        blocker = OverlapBlocker(
+            "AwardTitle", "AwardTitle", threshold=3, normalizer=normalize_title
+        )
+        args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
+        runs = []
+        with WorkerPool(workers=2) as pool:
+            for kwargs in ({"workers": 2}, {"pool": pool}):
+                instr = Instrumentation()
+                with EngineSession(instrumentation=instr, **kwargs) as session:
+                    assert session.pool_width == 2
+                    pairs = blocker.block_tables(*args, session=session).pairs
+                runs.append((pairs, len(instr.find("probe").chunks)))
+        (owned_pairs, owned_chunks), (injected_pairs, injected_chunks) = runs
+        assert injected_chunks == owned_chunks > 1
+        assert injected_pairs == owned_pairs == blocker.block_tables(*args).pairs
+
     def test_instrumented_parallel_blocking_reports_chunks(self, tables):
         instr = Instrumentation()
         with EngineSession(workers=2, instrumentation=instr) as session:
@@ -367,6 +385,45 @@ class TestWorkerPool:
         executor = ChunkedExecutor(instrumentation=instr, pool=pool)
         assert not executor.parallel
         assert executor.map(_square_chunk, [([2],), ([3],)]) == [[4], [9]]
+
+    def test_broken_pool_counts_every_fallback(self):
+        instr = Instrumentation()
+        pool = WorkerPool(workers=2)
+        pool._broken = True
+        executor = ChunkedExecutor(instrumentation=instr, pool=pool)
+        assert executor.workers == 1
+        assert executor.map(_square_chunk, [([2],), ([3],)]) == [[4], [9]]
+        assert executor.map(_square_chunk, [([5],)]) == [[25]]
+        assert instr.root.counters["parallel_fallbacks"] == 2
+        # a serial pool is not a degraded one
+        serial = ChunkedExecutor(instrumentation=instr, pool=WorkerPool(workers=1))
+        serial.map(_square_chunk, [([2],), ([3],)])
+        assert instr.root.counters["parallel_fallbacks"] == 2
+
+    def test_broken_pool_extraction_counts_a_fallback(self):
+        left, right = _rule_tables()
+        fs = generate_features(left, right, exclude_attrs=["id"])
+        candidates = CandidateSet(
+            left, right, "id", "id", [(i, 1000 + i) for i in range(10)]
+        )
+        pool = WorkerPool(workers=2)
+        pool._broken = True
+        instr = Instrumentation()
+        session = EngineSession(instrumentation=instr, pool=pool)
+        matrix = extract_feature_vectors(candidates, fs, session=session)
+        serial = extract_feature_vectors(candidates, fs)
+        assert np.array_equal(matrix.values, serial.values, equal_nan=True)
+        assert instr.find("extract_features").counters["parallel_fallbacks"] == 1
+
+    def test_pool_width_is_the_live_pool_width(self):
+        assert EngineSession().pool_width == 1
+        assert EngineSession(pool=WorkerPool(workers=3)).pool_width == 3
+        broken = WorkerPool(workers=2)
+        broken._broken = True
+        assert EngineSession(pool=broken).pool_width == 1
+        closed = EngineSession(workers=2)
+        closed.close()
+        assert closed.workers == 2 and closed.pool_width == 1
 
     @needs_workers
     @pytest.mark.parallel

@@ -35,12 +35,14 @@ def empty_left() -> Table:
     return Table({"id": [], "num": [], "t": []}, name="L0")
 
 
-def build_service(ltable=None, *, matcher=None, blockers=None, session=None):
+def build_service(ltable=None, *, matcher=None, blockers=None, session=None,
+                  rtable=None):
     left, right, features, trained, positive, negative, default_blockers = (
         serving_world()
     )
     return MatchService(
-        left if ltable is None else ltable, right, "id", "id",
+        left if ltable is None else ltable,
+        right if rtable is None else rtable, "id", "id",
         matcher=trained if matcher is None else matcher,
         feature_set=features,
         blockers=default_blockers if blockers is None else blockers,
@@ -270,14 +272,32 @@ SERVE_ROWS = st.builds(
 SERVE_BATCHES = st.lists(SERVE_ROWS, max_size=3, unique_by=lambda r: r["id"])
 
 
+RULE_NUMS = st.lists(
+    st.sampled_from([None, "A1", "B2", "WIS00001", "WIS00002"]),
+    min_size=5, max_size=5,
+)
+
+
 class ServiceConvergence(RuleBasedStateMachine):
     """Drive a MatchService end to end: after every step it must equal a
-    fresh service rebuilt from scratch over the live rows."""
+    fresh service rebuilt from scratch over the live rows (and over a
+    fresh copy of the right table, whose rule column a step may rewrite
+    in place)."""
 
     def __init__(self):
         super().__init__()
         self.service = build_service(empty_left())
         self.model: dict[int, dict] = {}
+
+    @rule(nums=RULE_NUMS)
+    def rewrite_right_rule_column(self, nums):
+        # the right table's in-place edit must invalidate the positive
+        # rule's resident index; re-upserting the live rows then has to
+        # see the new values, exactly like a freshly built service
+        right = self.service.rtable
+        right.drop_columns(["num"])
+        right.add_column("num", nums)
+        self.service.apply_patch(upserts=list(self.model.values()))
 
     @rule(batch=SERVE_BATCHES)
     def upsert(self, batch):
@@ -304,11 +324,19 @@ class ServiceConvergence(RuleBasedStateMachine):
         assert list(map(key, first.candidates)) == list(
             map(key, second.candidates)
         )
+        fresh = build_service(
+            rows_table(list(self.model.values()), columns=SERVE_COLUMNS),
+            rtable=self.service.rtable.copy(),
+        )
+        assert list(map(key, first.candidates)) == list(
+            map(key, fresh.match(row).candidates)
+        )
 
     @invariant()
     def equals_fresh_service(self):
         fresh = build_service(
-            rows_table(list(self.model.values()), columns=SERVE_COLUMNS)
+            rows_table(list(self.model.values()), columns=SERVE_COLUMNS),
+            rtable=self.service.rtable.copy(),
         )
         assert self.service.live_ids() == tuple(self.model)
         assert set(self.service.current_matches()) == set(

@@ -1,9 +1,12 @@
 """Tests for repro.table.table (the columnar Table engine)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError, TableError
+from repro.errors import KeyConstraintError, SchemaError, TableError
 from repro.table import Table
 
 
@@ -179,3 +182,39 @@ class TestMisc:
         t = make_table()
         index = t.value_index("x")
         assert index == {1.0: [0], 3.0: [2], 4.0: [3]}
+
+
+class TestDerivedState:
+    def test_key_index_is_memoized_and_validated(self):
+        t = make_table()
+        index = t.key_index("id")
+        assert index == {1: 0, 2: 1, 3: 2, 4: 3}
+        assert t.key_index("id") is index
+        with pytest.raises(KeyConstraintError, match="missing"):
+            t.key_index("x")
+        dupes = Table({"id": [1, 2, 1]}, name="d")
+        with pytest.raises(KeyConstraintError, match="1 duplicate"):
+            dupes.key_index("id")
+
+    def test_in_place_edits_rebuild_derived_state(self):
+        t = make_table()
+        stale = t.key_index("id")
+        t.drop_columns(["id"])
+        t.add_column("id", [40, 30, 20, 10])
+        assert t.key_index("id") == {40: 0, 30: 1, 20: 2, 10: 3}
+        assert stale == {1: 0, 2: 1, 3: 2, 4: 3}  # handed-out index untouched
+        cached = t.key_index("id")
+        t.add_column("extra", [0] * 4)  # any in-place edit clears the memo
+        assert t.key_index("id") is not cached
+
+    def test_pickles_carry_no_derived_state(self):
+        t = make_table()
+        clean = pickle.dumps(t)
+        t.key_index("id")
+        t.derived("anything", lambda: list(range(1000)))
+        assert pickle.dumps(t) == clean
+        restored = pickle.loads(clean)
+        assert restored._derived == {}
+        assert restored.equals(t)
+        assert restored.key_index("id") == t.key_index("id")
+        assert copy.deepcopy(t)._derived == {}
